@@ -536,20 +536,19 @@ def cmd_compare(args) -> int:
                               run["impact"], run["private"]["epsilon"],
                               run["private"]["iterations_executed"]))
 
-    writer = csv.writer(sys.stdout)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) if isinstance(v, (float, type(None))) else v
-                         for v in row])
+    def write_table(fh):
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_cell(v) if isinstance(v, (float, type(None))) else v
+                             for v in row])
+
+    write_table(sys.stdout)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "compare.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for row in rows:
-                w.writerow([_cell(v) if isinstance(v, (float, type(None))) else v
-                            for v in row])
+            write_table(fh)
         dump_json(out / "compare.json",
                   [dict(zip(header, row)) for row in rows])
     return 0

@@ -10,9 +10,14 @@ sum:
     privately-noised fraction of that group's rows exceeding the base
     bound.
 
-Every strategy yields a ``ClipOutcome`` with the rescaled rows, the
-effective sensitivity (the largest L2 change a single present row can
-induce in the clipped sum), and a per-group report for logging.
+Each strategy reduces to per-group clip bounds C_g and weights w_g
+(uniform: one bound, unit weights; naive: the base bound, the reweight
+factors; adaptive: the grown bounds, unit weights). ``apply_strategy``
+reads only the per-sample norms and yields a ``ClipOutcome`` with one
+factor per row, f_i = min(1, C_g/norm_i) * w_g, the effective sensitivity
+(the largest L2 change a single present row can induce in the sum of
+factor-scaled rows), and a per-group report for logging. Scaling and
+summing the rows is left to the caller.
 
 Count noising draws happen in a fixed order (all above-bound counts by
 ascending group, then all at-or-below counts) so runs are reproducible.
@@ -28,8 +33,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-from .model import PerSampleGrads
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,9 @@ class Uniform:
 
 
 @dataclass(frozen=True)
-class NaiveReweight:
-    """Clip at ``base_bound``, then reweight groups by noised batch share."""
+class _GroupAware:
+    """Fields shared by the group-aware strategies: the base clip bound and
+    the standard deviation of the noise added to their per-group counts."""
 
     base_bound: float
     count_noise_std: float = 0.0
@@ -63,17 +67,13 @@ class NaiveReweight:
 
 
 @dataclass(frozen=True)
-class GroupAdaptive:
+class NaiveReweight(_GroupAware):
+    """Clip at ``base_bound``, then reweight groups by noised batch share."""
+
+
+@dataclass(frozen=True)
+class GroupAdaptive(_GroupAware):
     """Per-group clip bounds adapted from noised clipped-sample counts."""
-
-    base_bound: float
-    count_noise_std: float = 0.0
-
-    def __post_init__(self):
-        if not (self.base_bound > 0 and np.isfinite(self.base_bound)):
-            raise ValueError("base_bound must be positive and finite")
-        if self.count_noise_std < 0:
-            raise ValueError("count_noise_std must be non-negative")
 
 
 ClipStrategy = Uniform | NaiveReweight | GroupAdaptive
@@ -107,7 +107,7 @@ class NoisedGroupCounts:
         return float(self.above_clamped.sum())
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupClipReport:
     """Per-group logging snapshot for one clipped batch.
 
@@ -124,17 +124,32 @@ class GroupClipReport:
 
 
 class ClipOutcome(NamedTuple):
-    clipped: np.ndarray
+    factors: np.ndarray
     sensitivity: float
-    report: GroupClipReport | None
+    report: GroupClipReport
 
 
-def _rescale_rows(grads: np.ndarray, norms: np.ndarray, row_bounds: np.ndarray) -> np.ndarray:
-    """Scale each row by min(1, bound/norm); zero-norm rows pass unchanged."""
+def row_factors(norms: np.ndarray, groups: np.ndarray, bounds: np.ndarray,
+                weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """Row factors f_i = min(1, C_g/norm_i) * w_g and their sensitivity.
+
+    ``bounds`` (C) and ``weights`` (w) are per group; a row at or below its
+    bound, including a zero-norm row, keeps clip factor one. The sensitivity
+    is the largest C_g * w_g among groups present in the batch: an absent
+    group cannot contribute a row, so its bound is ignored.
+    """
+    norms = np.asarray(norms, dtype=np.float64)
+    bounds = np.asarray(bounds, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if not (np.all(bounds > 0) and np.all(weights > 0)):
+        raise ValueError("all bounds and weights must be positive")
+    groups = np.asarray(groups)
+    row_bounds = bounds[groups]
     factors = np.ones_like(norms)
     over = norms > row_bounds
     factors[over] = row_bounds[over] / norms[over]
-    return grads * factors[:, None]
+    present = np.unique(groups)
+    return factors * weights[groups], float((bounds * weights)[present].max())
 
 
 def _clip_fraction(norms: np.ndarray, groups: np.ndarray, bounds: np.ndarray,
@@ -147,31 +162,13 @@ def _clip_fraction(norms: np.ndarray, groups: np.ndarray, bounds: np.ndarray,
     return out
 
 
-def clip_uniform(grads: PerSampleGrads, bound: float,
-                 groups: np.ndarray | None = None,
-                 num_groups: int | None = None) -> ClipOutcome:
-    """Clip every row at one bound; sensitivity equals the bound.
-
-    A per-group report is attached only when group labels are supplied.
-    """
-    if not bound > 0:
-        raise ValueError("bound must be positive")
-    row_bounds = np.full(grads.norms.shape, bound)
-    clipped = _rescale_rows(grads.grads, grads.norms, row_bounds)
-    report = None
-    if groups is not None and num_groups is not None:
-        full = np.full(num_groups, bound)
-        report = GroupClipReport(full, _clip_fraction(grads.norms, groups, full, num_groups))
-    return ClipOutcome(clipped, bound, report)
-
-
-def group_counts(grads: PerSampleGrads, groups: np.ndarray, bound: float,
+def group_counts(norms: np.ndarray, groups: np.ndarray, bound: float,
                  num_groups: int) -> GroupCounts:
     """Exact counts per group; a tie at the bound counts as not clipped."""
     if not bound > 0:
         raise ValueError("bound must be positive")
     groups = np.asarray(groups)
-    over = grads.norms > bound
+    over = norms > bound
     above = np.bincount(groups[over], minlength=num_groups)
     at_or_below = np.bincount(groups[~over], minlength=num_groups)
     return GroupCounts(above, at_or_below)
@@ -209,25 +206,6 @@ def adaptive_bounds(noised: NoisedGroupCounts, base_bound: float,
     return base_bound * (1.0 + share / (total / batch_size))
 
 
-def clip_adaptive(grads: PerSampleGrads, groups: np.ndarray,
-                  bounds: np.ndarray) -> ClipOutcome:
-    """Clip each row at its group's bound.
-
-    Sensitivity is the maximum bound among groups present in this batch;
-    an absent group cannot contribute a row, so its bound is ignored.
-    """
-    bounds = np.asarray(bounds, dtype=np.float64)
-    if not np.all(bounds > 0):
-        raise ValueError("all bounds must be positive")
-    groups = np.asarray(groups)
-    clipped = _rescale_rows(grads.grads, grads.norms, bounds[groups])
-    present = np.unique(groups)
-    sensitivity = float(bounds[present].max())
-    report = GroupClipReport(bounds.copy(),
-                             _clip_fraction(grads.norms, groups, bounds, bounds.shape[0]))
-    return ClipOutcome(clipped, sensitivity, report)
-
-
 def naive_weights(sizes_noised: np.ndarray, num_groups: int,
                   batch_size: int) -> np.ndarray:
     """Reweight factor per group: (batch/K) over the noised size.
@@ -240,56 +218,36 @@ def naive_weights(sizes_noised: np.ndarray, num_groups: int,
     return (batch_size / num_groups) / sizes
 
 
-def clip_naive(grads: PerSampleGrads, groups: np.ndarray, weights: np.ndarray,
-               base_bound: float) -> ClipOutcome:
-    """Clip at the base bound, then scale each row by its group weight.
-
-    Sensitivity is base_bound times the largest weight among groups present
-    in the batch.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if not np.all(weights > 0):
-        raise ValueError("all weights must be positive")
-    if not base_bound > 0:
-        raise ValueError("base_bound must be positive")
-    groups = np.asarray(groups)
-    norms = grads.norms
-    factors = np.ones_like(norms)
-    over = norms > base_bound
-    factors[over] = base_bound / norms[over]
-    clipped = grads.grads * (factors * weights[groups])[:, None]
-    present = np.unique(groups)
-    sensitivity = float(base_bound * weights[present].max())
-    base = np.full(weights.shape[0], base_bound)
-    report = GroupClipReport(weights.copy(),
-                             _clip_fraction(norms, groups, base, weights.shape[0]))
-    return ClipOutcome(clipped, sensitivity, report)
-
-
-def apply_strategy(strategy: ClipStrategy, grads: PerSampleGrads,
+def apply_strategy(strategy: ClipStrategy, norms: np.ndarray,
                    groups: np.ndarray, num_groups: int,
                    rng: np.random.Generator) -> ClipOutcome:
-    """Run one strategy on a batch, consuming count noise from ``rng``.
+    """Row factors, sensitivity and report for one batch's per-sample norms.
 
-    The returned report carries the noised counts/sizes where the strategy
-    produced them.
+    Count noise is drawn from ``rng``. Each strategy sets per-group bounds and weights; ``row_factors`` turns
+    them into the factors and the sensitivity. The report carries the
+    noised counts/sizes where the strategy produced them.
     """
-    batch_size = grads.norms.shape[0]
+    groups = np.asarray(groups)
+    batch_size = norms.shape[0]
+    weights = np.ones(num_groups)
+    above_noised = sizes_noised = None
     if isinstance(strategy, Uniform):
-        return clip_uniform(grads, strategy.bound, groups, num_groups)
-    if isinstance(strategy, GroupAdaptive):
-        counts = group_counts(grads, groups, strategy.base_bound, num_groups)
+        bounds = np.full(num_groups, strategy.bound)
+    elif isinstance(strategy, GroupAdaptive):
+        counts = group_counts(norms, groups, strategy.base_bound, num_groups)
         noised = noise_counts(counts, strategy.count_noise_std, rng)
         bounds = adaptive_bounds(noised, strategy.base_bound, batch_size)
-        outcome = clip_adaptive(grads, groups, bounds)
-        outcome.report.above_noised = noised.above.copy()
-        outcome.report.sizes_noised = noised.above + noised.at_or_below
-        return outcome
-    if isinstance(strategy, NaiveReweight):
+        above_noised = noised.above
+        sizes_noised = noised.above + noised.at_or_below
+    elif isinstance(strategy, NaiveReweight):
         sizes = np.bincount(groups, minlength=num_groups).astype(np.float64)
-        noised_sizes = sizes + rng.normal(0.0, strategy.count_noise_std, size=num_groups)
-        weights = naive_weights(noised_sizes, num_groups, batch_size)
-        outcome = clip_naive(grads, groups, weights, strategy.base_bound)
-        outcome.report.sizes_noised = noised_sizes
-        return outcome
-    raise ValueError(f"not a clipping strategy: {strategy!r}")
+        sizes_noised = sizes + rng.normal(0.0, strategy.count_noise_std, size=num_groups)
+        bounds = np.full(num_groups, strategy.base_bound)
+        weights = naive_weights(sizes_noised, num_groups, batch_size)
+    else:
+        raise ValueError(f"not a clipping strategy: {strategy!r}")
+    factors, sensitivity = row_factors(norms, groups, bounds, weights)
+    logged = weights if isinstance(strategy, NaiveReweight) else bounds
+    report = GroupClipReport(logged, _clip_fraction(norms, groups, bounds, num_groups),
+                             above_noised, sizes_noised)
+    return ClipOutcome(factors, sensitivity, report)

@@ -52,7 +52,7 @@ def group_report(spec: model.ModelSpec, params: np.ndarray, data) -> GroupReport
         raise DataError(f"empty group(s) in evaluation data: {missing}")
     probs = model.forward(spec, params, data.features)
     correct = (np.argmax(probs, axis=1) == data.labels).astype(np.float64)
-    losses = model.per_sample_grads(spec, params, data).losses
+    losses = model.per_sample_losses(spec, params, data)
     num_groups = data.num_groups
     acc = np.bincount(data.groups, weights=correct, minlength=num_groups) / counts
     loss = np.bincount(data.groups, weights=losses, minlength=num_groups) / counts

@@ -172,17 +172,3 @@ def to_epsilon(curve: RdpCurve, delta: float) -> tuple[float, float]:
     best = int(np.argmin(candidates))
     return float(candidates[best]), float(curve.orders[best])
 
-
-def calibrate_gaussian(epsilon: float, delta: float, sensitivity: float) -> float:
-    """Noise standard deviation making one Gaussian release (eps, delta)-DP.
-
-    Uses sigma = sqrt(2 log(1.25/delta)) * sensitivity / epsilon, valid for
-    epsilon in (0, 1].
-    """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must be in (0, 1] for this calibration")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
-    if not sensitivity > 0:
-        raise ValueError("sensitivity must be positive")
-    return math.sqrt(2.0 * math.log(1.25 / delta)) * sensitivity / epsilon

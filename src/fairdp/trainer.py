@@ -94,19 +94,36 @@ def sample_batch(n: int, batch_size: int, rng: np.random.Generator) -> np.ndarra
     return np.sort(rng.choice(n, size=batch_size, replace=False))
 
 
-def private_mean_gradient(clipped: np.ndarray, sensitivity: float,
-                          noise_multiplier: float,
+def private_mean_gradient(grads: np.ndarray, factors: np.ndarray | None,
+                          sensitivity: float, noise_multiplier: float,
                           rng: np.random.Generator) -> np.ndarray:
-    """Mean of clipped rows after noising the sum.
+    """Mean of the factor-scaled rows after noising their sum.
 
-    Adds i.i.d. Gaussian noise of standard deviation
-    noise_multiplier * sensitivity to the row sum, then divides by the row
-    count. With a zero noise multiplier, nothing is drawn from ``rng``.
+    Row i is scaled by ``factors[i]``; ``factors=None`` sums the rows
+    unscaled (the non-private path). Adds i.i.d. Gaussian noise of standard
+    deviation noise_multiplier * sensitivity to the sum, then divides by the
+    row count. With a zero noise multiplier, nothing is drawn from ``rng``.
     """
-    total = clipped.sum(axis=0)
+    total = (grads if factors is None else grads * factors[:, None]).sum(axis=0)
     if noise_multiplier > 0.0:
         total = total + rng.normal(0.0, noise_multiplier * sensitivity, size=total.shape)
-    return total / clipped.shape[0]
+    return total / grads.shape[0]
+
+
+def step_events(strategy: Union[ClipStrategy, NonPrivate], noise_multiplier: float,
+                sampling_rate: float) -> list[tuple[str, MechanismEvent]]:
+    """The (kind, event) pairs one iteration appends to the ledger, in order.
+
+    The count-noise event comes first (group-aware strategies, unit
+    sensitivity), then the gradient-noise event. Events with a zero noise
+    scale are not recorded, and the non-private strategy records none.
+    """
+    if isinstance(strategy, NonPrivate):
+        return []
+    scales = (("count-noise", getattr(strategy, "count_noise_std", 0.0)),
+              ("gradient-noise", noise_multiplier))
+    return [(kind, MechanismEvent(scale, sampling_rate, 1))
+            for kind, scale in scales if scale > 0.0]
 
 
 def dp_step(spec: ModelSpec, params: np.ndarray, batch,
@@ -116,9 +133,7 @@ def dp_step(spec: ModelSpec, params: np.ndarray, batch,
             num_groups: int) -> tuple[np.ndarray, ClipOutcome | None]:
     """One SGD update on a batch, privatized per the strategy.
 
-    Appends this step's mechanism events to the ledger: the count-noise
-    event first (group-aware strategies, unit sensitivity), then the
-    gradient-noise event. Events with a zero noise scale are not recorded.
+    Appends this step's mechanism events (``step_events``) to the ledger.
 
     Raises:
       NumericError: a non-finite per-sample gradient or loss was produced.
@@ -127,15 +142,12 @@ def dp_step(spec: ModelSpec, params: np.ndarray, batch,
     if not (np.isfinite(grads.norms).all() and np.isfinite(grads.losses).all()):
         raise NumericError("non-finite per-sample gradient")
     if isinstance(strategy, NonPrivate):
-        update = private_mean_gradient(grads.grads, 0.0, 0.0, noise_rng)
+        update = private_mean_gradient(grads.grads, None, 0.0, 0.0, noise_rng)
         return params - lr * update, None
-    outcome = apply_strategy(strategy, grads, batch.groups, num_groups, count_rng)
-    count_noise = getattr(strategy, "count_noise_std", 0.0)
-    if count_noise > 0.0:
-        ledger.append(MechanismEvent(count_noise, sampling_rate, 1))
-    if noise_multiplier > 0.0:
-        ledger.append(MechanismEvent(noise_multiplier, sampling_rate, 1))
-    update = private_mean_gradient(outcome.clipped, outcome.sensitivity,
+    outcome = apply_strategy(strategy, grads.norms, batch.groups, num_groups, count_rng)
+    for _, event in step_events(strategy, noise_multiplier, sampling_rate):
+        ledger.append(event)
+    update = private_mean_gradient(grads.grads, outcome.factors, outcome.sensitivity,
                                    noise_multiplier, noise_rng)
     return params - lr * update, outcome
 
@@ -143,13 +155,7 @@ def dp_step(spec: ModelSpec, params: np.ndarray, batch,
 def step_rdp_curve(strategy, noise_multiplier: float, sampling_rate: float,
                    orders=privacy.DEFAULT_ORDERS) -> np.ndarray | None:
     """RDP curve of a single iteration's events; None if there are none."""
-    events = []
-    count_noise = getattr(strategy, "count_noise_std", 0.0)
-    if not isinstance(strategy, NonPrivate):
-        if count_noise > 0.0:
-            events.append(MechanismEvent(count_noise, sampling_rate, 1))
-        if noise_multiplier > 0.0:
-            events.append(MechanismEvent(noise_multiplier, sampling_rate, 1))
+    events = [event for _, event in step_events(strategy, noise_multiplier, sampling_rate)]
     if not events:
         return None
     return privacy.compose(PrivacyLedger(events), orders).eps_rdp
@@ -255,12 +261,6 @@ def train(config: TrainConfig, train_data, test_data) -> TrainResult:
     if ledger.events:
         final_epsilon, final_order = privacy.to_epsilon(
             privacy.compose(ledger), config.delta)
-    kinds = []
-    if not isinstance(config.strategy, NonPrivate):
-        if getattr(config.strategy, "count_noise_std", 0.0) > 0.0:
-            kinds.append("count-noise")
-        if config.noise_multiplier > 0.0:
-            kinds.append("gradient-noise")
     return TrainResult(
         params=params,
         ledger=ledger,
@@ -268,7 +268,8 @@ def train(config: TrainConfig, train_data, test_data) -> TrainResult:
         test_report=metrics.group_report(spec, params, test_data),
         iterations_executed=executed,
         iterations_planned=planned,
-        event_kinds=tuple(kinds),
+        event_kinds=tuple(kind for kind, _ in step_events(
+            config.strategy, config.noise_multiplier, sampling_rate)),
         final_epsilon=final_epsilon,
         final_best_order=final_order,
         learning_rate=lr,

@@ -15,11 +15,11 @@ import pytest
 
 from fairdp.analysis import cost_bounds, empirical_error, optimal_clip
 from fairdp.clipping import (GroupAdaptive, NaiveReweight, NonPrivate, Uniform,
-                             clip_adaptive, clip_naive, clip_uniform)
+                             row_factors)
 from fairdp.dataio import (Batch, RawTable, load_census_csv, preprocess_census,
                            split, synth_two_group)
 from fairdp.metrics import privacy_impact
-from fairdp.model import ModelSpec, PerSampleGrads, init_params, per_sample_grads
+from fairdp.model import ModelSpec, init_params, per_sample_grads
 from fairdp.privacy import MechanismEvent, PrivacyLedger, compose, to_epsilon
 from fairdp.trainer import TrainConfig, dp_step, sample_batch, train, train_nonprivate
 
@@ -113,6 +113,11 @@ class TestCriterion3StrategyReductions:
 
 
 class TestCriterion4ClipNormSafety:
+    @staticmethod
+    def clipped_norms(grads, groups, bounds, weights):
+        factors, _ = row_factors(np.linalg.norm(grads, axis=1), groups, bounds, weights)
+        return np.linalg.norm(grads * factors[:, None], axis=1)
+
     def test_fuzz_100k_rows_per_strategy(self):
         rng = np.random.default_rng(2024)
         total = 0
@@ -121,23 +126,20 @@ class TestCriterion4ClipNormSafety:
             dim = int(rng.integers(1, 10))
             num_groups = int(rng.integers(1, 6))
             grads = rng.standard_normal((rows, dim)) * rng.uniform(0.05, 20)
-            psg = PerSampleGrads(grads, np.linalg.norm(grads, axis=1),
-                                 np.zeros(rows))
             groups = rng.integers(0, num_groups, rows)
+            ones = np.ones(num_groups)
 
             bound = float(rng.uniform(0.01, 8.0))
-            out = clip_uniform(psg, bound)
-            assert np.all(np.linalg.norm(out.clipped, axis=1) <= bound + 1e-9)
+            out = self.clipped_norms(grads, groups, np.full(num_groups, bound), ones)
+            assert np.all(out <= bound + 1e-9)
 
             bounds = rng.uniform(0.01, 8.0, num_groups)
-            out = clip_adaptive(psg, groups, bounds)
-            assert np.all(np.linalg.norm(out.clipped, axis=1)
-                          <= bounds[groups] + 1e-9)
+            out = self.clipped_norms(grads, groups, bounds, ones)
+            assert np.all(out <= bounds[groups] + 1e-9)
 
             weights = rng.uniform(0.05, 5.0, num_groups)
-            out = clip_naive(psg, groups, weights, bound)
-            assert np.all(np.linalg.norm(out.clipped, axis=1)
-                          <= bound * weights[groups] + 1e-9)
+            out = self.clipped_norms(grads, groups, np.full(num_groups, bound), weights)
+            assert np.all(out <= bound * weights[groups] + 1e-9)
             total += rows
         report("4 clip-norm-safety", f"({total} rows x 3 strategies)")
 

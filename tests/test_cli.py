@@ -219,9 +219,9 @@ class TestCompareCommand:
     def test_out_files(self, tmp_path, capsys):
         out1, out2 = self.run_two(tmp_path)
         dest = tmp_path / "cmp"
+        capsys.readouterr()  # drain the training summaries
         assert main(["compare", str(out1), str(out2), "--out", str(dest)]) == 0
-        capsys.readouterr()
-        assert (dest / "compare.csv").exists()
+        assert (dest / "compare.csv").read_bytes() == capsys.readouterr().out.encode()
         rows = json.loads((dest / "compare.json").read_text())
         assert [r["strategy"] for r in rows] == ["sgd", "dpsgd", "dpsgd-f"]
 

@@ -3,53 +3,66 @@ import pytest
 
 from fairdp.clipping import (GroupAdaptive, GroupCounts, NaiveReweight,
                              NonPrivate, Uniform, adaptive_bounds,
-                             apply_strategy, clip_adaptive, clip_naive,
-                             clip_uniform, group_counts, naive_weights,
-                             noise_counts)
-from fairdp.model import PerSampleGrads
+                             apply_strategy, group_counts, naive_weights,
+                             noise_counts, row_factors)
 
 
 def make_grads(grad_matrix):
     grad_matrix = np.asarray(grad_matrix, dtype=np.float64)
-    norms = np.linalg.norm(grad_matrix, axis=1)
-    return PerSampleGrads(grad_matrix, norms, np.zeros(grad_matrix.shape[0]))
+    return grad_matrix, np.linalg.norm(grad_matrix, axis=1)
 
 
 def random_grads(rng, rows, dim, scale=3.0):
     return make_grads(scale * rng.standard_normal((rows, dim)))
 
 
+def clip(grads, groups, bounds, weights=None):
+    """Scaled rows and sensitivity for per-group bounds and weights."""
+    matrix, norms = grads
+    if weights is None:
+        weights = np.ones(len(bounds))
+    factors, sensitivity = row_factors(norms, groups, np.asarray(bounds, dtype=float),
+                                       np.asarray(weights, dtype=float))
+    return matrix * factors[:, None], sensitivity
+
+
+def clip_at(grads, bound):
+    """Every row in one group, clipped at ``bound``."""
+    return clip(grads, np.zeros(grads[1].shape[0], dtype=int), [bound])
+
+
 class TestClipUniform:
     def test_rescales_long_row(self):
-        out = clip_uniform(make_grads([[3.0, 4.0]]), 1.0)
-        np.testing.assert_allclose(out.clipped, [[0.6, 0.8]], rtol=1e-15)
-        assert out.sensitivity == 1.0
+        clipped, sensitivity = clip_at(make_grads([[3.0, 4.0]]), 1.0)
+        np.testing.assert_allclose(clipped, [[0.6, 0.8]], rtol=1e-15)
+        assert sensitivity == 1.0
 
     def test_short_row_untouched(self):
         grads = make_grads([[0.3, 0.4]])
-        out = clip_uniform(grads, 1.0)
-        np.testing.assert_array_equal(out.clipped, grads.grads)
+        clipped, _ = clip_at(grads, 1.0)
+        np.testing.assert_array_equal(clipped, grads[0])
 
     def test_zero_row_passes_through(self):
-        out = clip_uniform(make_grads([[0.0, 0.0]]), 1.0)
-        np.testing.assert_array_equal(out.clipped, [[0.0, 0.0]])
+        clipped, _ = clip_at(make_grads([[0.0, 0.0]]), 1.0)
+        np.testing.assert_array_equal(clipped, [[0.0, 0.0]])
 
     def test_infinite_bound_is_identity(self):
         grads = random_grads(np.random.default_rng(0), 8, 5)
-        out = clip_uniform(grads, np.inf)
-        np.testing.assert_array_equal(out.clipped, grads.grads)
+        clipped, _ = clip_at(grads, np.inf)
+        np.testing.assert_array_equal(clipped, grads[0])
 
     def test_idempotent(self):
         # up to one ulp: a re-measured norm of a clipped row can round a
         # hair above the bound and trigger a rescale by (1 - epsilon)
         grads = random_grads(np.random.default_rng(1), 16, 4)
-        once = clip_uniform(grads, 0.7)
-        twice = clip_uniform(make_grads(once.clipped), 0.7)
-        np.testing.assert_allclose(twice.clipped, once.clipped, rtol=1e-15, atol=0)
+        once, _ = clip_at(grads, 0.7)
+        twice, _ = clip_at(make_grads(once), 0.7)
+        np.testing.assert_allclose(twice, once, rtol=1e-15, atol=0)
 
     def test_report_when_groups_given(self):
-        grads = make_grads([[2.0, 0.0], [0.1, 0.0], [5.0, 0.0]])
-        out = clip_uniform(grads, 1.0, np.array([0, 0, 1]), 3)
+        _, norms = make_grads([[2.0, 0.0], [0.1, 0.0], [5.0, 0.0]])
+        out = apply_strategy(Uniform(1.0), norms, np.array([0, 0, 1]), 3,
+                             np.random.default_rng(0))
         np.testing.assert_array_equal(out.report.bounds, [1.0, 1.0, 1.0])
         np.testing.assert_allclose(out.report.clipped_fraction[:2], [0.5, 1.0])
         assert np.isnan(out.report.clipped_fraction[2])
@@ -58,18 +71,18 @@ class TestClipUniform:
 class TestGroupCounts:
     def test_tie_counts_as_not_clipped(self):
         grads = make_grads([[0.5], [1.0], [2.0]])
-        counts = group_counts(grads, np.zeros(3, dtype=int), 1.0, 1)
+        counts = group_counts(grads[1], np.zeros(3, dtype=int), 1.0, 1)
         assert counts.above[0] == 1 and counts.at_or_below[0] == 2
 
     def test_absent_group_zero(self):
         grads = make_grads([[2.0]])
-        counts = group_counts(grads, np.array([0]), 1.0, 3)
+        counts = group_counts(grads[1], np.array([0]), 1.0, 3)
         np.testing.assert_array_equal(counts.above, [1, 0, 0])
         np.testing.assert_array_equal(counts.at_or_below, [0, 0, 0])
 
     def test_all_above(self):
         grads = make_grads([[3.0], [4.0]])
-        counts = group_counts(grads, np.array([1, 1]), 1.0, 2)
+        counts = group_counts(grads[1], np.array([1, 1]), 1.0, 2)
         assert counts.above[1] == 2 and counts.at_or_below[1] == 0
 
 
@@ -146,22 +159,22 @@ class TestAdaptiveBounds:
 class TestClipAdaptive:
     def test_per_group_bounds(self):
         grads = make_grads([[5.0, 0.0], [0.0, 5.0]])
-        out = clip_adaptive(grads, np.array([0, 1]), np.array([1.0, 3.0]))
-        np.testing.assert_allclose(np.linalg.norm(out.clipped, axis=1), [1.0, 3.0])
-        assert out.sensitivity == 3.0
+        clipped, sensitivity = clip(grads, np.array([0, 1]), [1.0, 3.0])
+        np.testing.assert_allclose(np.linalg.norm(clipped, axis=1), [1.0, 3.0])
+        assert sensitivity == 3.0
 
     def test_equal_bounds_match_uniform(self):
         grads = random_grads(np.random.default_rng(5), 12, 4)
         groups = np.random.default_rng(6).integers(0, 3, size=12)
-        adaptive = clip_adaptive(grads, groups, np.full(3, 0.9))
-        uniform = clip_uniform(grads, 0.9)
-        np.testing.assert_array_equal(adaptive.clipped, uniform.clipped)
-        assert adaptive.sensitivity == uniform.sensitivity
+        adaptive = clip(grads, groups, np.full(3, 0.9))
+        uniform = clip_at(grads, 0.9)
+        np.testing.assert_array_equal(adaptive[0], uniform[0])
+        assert adaptive[1] == uniform[1]
 
     def test_absent_group_cannot_inflate_sensitivity(self):
         grads = make_grads([[5.0, 0.0]])
-        out = clip_adaptive(grads, np.array([0]), np.array([1.0, 1e9]))
-        assert out.sensitivity == 1.0
+        _, sensitivity = clip(grads, np.array([0]), [1.0, 1e9])
+        assert sensitivity == 1.0
 
 
 class TestNaive:
@@ -179,57 +192,57 @@ class TestNaive:
     def test_weights_one_equals_uniform(self):
         grads = random_grads(np.random.default_rng(8), 10, 3)
         groups = np.random.default_rng(9).integers(0, 2, size=10)
-        naive = clip_naive(grads, groups, np.array([1.0, 1.0]), 0.8)
-        uniform = clip_uniform(grads, 0.8)
-        np.testing.assert_array_equal(naive.clipped, uniform.clipped)
-        assert naive.sensitivity == uniform.sensitivity
+        naive = clip(grads, groups, [0.8, 0.8], [1.0, 1.0])
+        uniform = clip_at(grads, 0.8)
+        np.testing.assert_array_equal(naive[0], uniform[0])
+        assert naive[1] == uniform[1]
 
     def test_clip_then_scale(self):
         grads = make_grads([[5.0]])
-        out = clip_naive(grads, np.array([0]), np.array([2.0]), 1.0)
-        np.testing.assert_allclose(out.clipped, [[2.0]])
-        assert out.sensitivity == 2.0
+        clipped, sensitivity = clip(grads, np.array([0]), [1.0], [2.0])
+        np.testing.assert_allclose(clipped, [[2.0]])
+        assert sensitivity == 2.0
 
     def test_sensitivity_uses_max_present_weight(self):
         grads = make_grads([[1.0], [1.0]])
-        out = clip_naive(grads, np.array([0, 1]), np.array([1.0, 2.0]), 0.5)
-        assert out.sensitivity == 1.0
+        _, sensitivity = clip(grads, np.array([0, 1]), [0.5, 0.5], [1.0, 2.0])
+        assert sensitivity == 1.0
 
 
 class TestApplyStrategy:
     def test_uniform(self):
-        grads = random_grads(np.random.default_rng(3), 6, 4)
+        _, norms = random_grads(np.random.default_rng(3), 6, 4)
         groups = np.zeros(6, dtype=int)
-        out = apply_strategy(Uniform(1.0), grads, groups, 1, np.random.default_rng(0))
+        out = apply_strategy(Uniform(1.0), norms, groups, 1, np.random.default_rng(0))
         assert out.sensitivity == 1.0
 
     def test_group_adaptive_attaches_noised_counts(self):
-        grads = random_grads(np.random.default_rng(4), 6, 4)
+        _, norms = random_grads(np.random.default_rng(4), 6, 4)
         groups = np.array([0, 0, 0, 1, 1, 1])
-        out = apply_strategy(GroupAdaptive(0.5, 2.0), grads, groups, 2,
+        out = apply_strategy(GroupAdaptive(0.5, 2.0), norms, groups, 2,
                              np.random.default_rng(1))
         assert out.report.above_noised is not None
         assert out.report.sizes_noised is not None
 
     def test_naive_attaches_noised_sizes(self):
-        grads = random_grads(np.random.default_rng(4), 6, 4)
+        _, norms = random_grads(np.random.default_rng(4), 6, 4)
         groups = np.array([0, 0, 0, 1, 1, 1])
-        out = apply_strategy(NaiveReweight(0.5, 2.0), grads, groups, 2,
+        out = apply_strategy(NaiveReweight(0.5, 2.0), norms, groups, 2,
                              np.random.default_rng(1))
         assert out.report.sizes_noised is not None
         assert out.report.above_noised is None
 
     def test_nonprivate_rejected(self):
-        grads = random_grads(np.random.default_rng(4), 2, 2)
+        _, norms = random_grads(np.random.default_rng(4), 2, 2)
         with pytest.raises(ValueError):
-            apply_strategy(NonPrivate(), grads, np.zeros(2, dtype=int), 1,
+            apply_strategy(NonPrivate(), norms, np.zeros(2, dtype=int), 1,
                            np.random.default_rng(0))
 
     def test_count_noise_draw_order_is_documented(self):
         # adaptive consumes 2K normals: above counts first, then at-or-below
-        grads = make_grads([[9.0], [0.1]])
+        _, norms = make_grads([[9.0], [0.1]])
         groups = np.array([0, 1])
-        out = apply_strategy(GroupAdaptive(1.0, 3.0), grads, groups, 2,
+        out = apply_strategy(GroupAdaptive(1.0, 3.0), norms, groups, 2,
                              np.random.default_rng(42))
         draws = np.random.default_rng(42).normal(0.0, 3.0, size=4)
         np.testing.assert_allclose(out.report.above_noised,
@@ -248,20 +261,21 @@ class TestNormSafetyFuzz:
             groups = rng.integers(0, num_groups, size=rows)
             if strategy_kind == "uniform":
                 bound = float(rng.uniform(0.01, 5.0))
-                out = clip_uniform(grads, bound)
+                clipped, sensitivity = clip_at(grads, bound)
                 limits = np.full(rows, bound)
             elif strategy_kind == "adaptive":
                 bounds = rng.uniform(0.01, 5.0, size=num_groups)
-                out = clip_adaptive(grads, groups, bounds)
+                clipped, sensitivity = clip(grads, groups, bounds)
                 limits = bounds[groups]
             else:
                 base = float(rng.uniform(0.01, 5.0))
                 weights = rng.uniform(0.1, 4.0, size=num_groups)
-                out = clip_naive(grads, groups, weights, base)
+                clipped, sensitivity = clip(grads, groups, np.full(num_groups, base),
+                                            weights)
                 limits = base * weights[groups]
-            norms = np.linalg.norm(out.clipped, axis=1)
+            norms = np.linalg.norm(clipped, axis=1)
             assert np.all(norms <= limits + 1e-9)
-            assert np.all(norms <= out.sensitivity + 1e-9)
+            assert np.all(norms <= sensitivity + 1e-9)
 
 
 class TestStrategyValidation:

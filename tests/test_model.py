@@ -4,7 +4,8 @@ import pytest
 from fairdp.dataio import Batch, Dataset
 from fairdp.errors import DataError
 from fairdp.model import (ModelSpec, accuracy, forward, init_params,
-                          load_params, per_sample_grads, save_params)
+                          load_params, per_sample_grads, per_sample_losses,
+                          save_params)
 
 
 def random_batch(rng, n, d, c):
@@ -99,6 +100,18 @@ class TestForward:
         x = rng.standard_normal(4)
         np.testing.assert_allclose(forward(spec, params, x),
                                    forward(spec, shifted, x), atol=1e-12)
+
+
+class TestPerSampleLosses:
+    @pytest.mark.parametrize("kind", ["softmax", "mlp"])
+    def test_equal_to_gradient_pass_losses(self, kind):
+        rng = np.random.default_rng(5)
+        batch = random_batch(rng, 40, 6, 3)
+        spec = ModelSpec.softmax(6, 3, l2=0.05) if kind == "softmax" \
+            else ModelSpec.mlp(6, 5, 3, l2=0.05)
+        params = init_params(spec, seed=2) + 0.3 * rng.standard_normal(spec.param_count)
+        np.testing.assert_array_equal(per_sample_losses(spec, params, batch),
+                                      per_sample_grads(spec, params, batch).losses)
 
 
 class TestPerSampleGrads:

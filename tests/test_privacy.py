@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fairdp.privacy import (DEFAULT_ORDERS, MechanismEvent, PrivacyLedger,
-                            RdpCurve, calibrate_gaussian, compose,
+                            RdpCurve, compose,
                             rdp_full_gaussian, rdp_subsampled_gaussian,
                             to_epsilon)
 
@@ -147,29 +147,6 @@ class TestToEpsilon:
             to_epsilon(curve, 0.0)
         with pytest.raises(ValueError):
             to_epsilon(curve, 1.5)
-
-
-class TestCalibrateGaussian:
-    def test_log_term_of_two(self):
-        # delta = 1.25 e^-2 makes log(1.25/delta) = 2, so sigma = 2
-        assert calibrate_gaussian(1.0, 1.25 * math.exp(-2), 1.0) == \
-            pytest.approx(2.0, rel=1e-12)
-
-    def test_inverse_in_epsilon(self):
-        delta = 1e-5
-        assert calibrate_gaussian(0.5, delta, 1.0) == \
-            pytest.approx(2 * calibrate_gaussian(1.0, delta, 1.0), rel=1e-12)
-
-    def test_proportional_in_sensitivity(self):
-        delta = 1e-5
-        assert calibrate_gaussian(0.7, delta, 2.0) == \
-            pytest.approx(2 * calibrate_gaussian(0.7, delta, 1.0), rel=1e-12)
-
-    def test_epsilon_range_enforced(self):
-        with pytest.raises(ValueError):
-            calibrate_gaussian(1.5, 1e-5, 1.0)
-        with pytest.raises(ValueError):
-            calibrate_gaussian(0.0, 1e-5, 1.0)
 
 
 class TestEventValidation:

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fairdp.clipping import GroupAdaptive, NaiveReweight, NonPrivate, Uniform
+from fairdp.clipping import (GroupAdaptive, NaiveReweight, NonPrivate, Uniform,
+                             adaptive_bounds, group_counts, noise_counts)
 from fairdp.dataio import Batch, Dataset, synth_two_group, split
 from fairdp.errors import NumericError
 from fairdp.model import ModelSpec, init_params, per_sample_grads
-from fairdp.privacy import MechanismEvent, PrivacyLedger
+from fairdp.privacy import MechanismEvent, PrivacyLedger, compose
 from fairdp.trainer import (TrainConfig, dp_step, private_mean_gradient,
-                            resolve_learning_rate, sample_batch,
+                            resolve_learning_rate, sample_batch, step_events,
                             step_rdp_curve, train, train_nonprivate)
 
 
@@ -71,6 +72,41 @@ class TestDpStep:
         factors = np.minimum(1.0, 0.5 / grads.norms)
         expected = (grads.grads * factors[:, None]).mean(axis=0)
         np.testing.assert_allclose(self.params - new_params, expected, rtol=1e-12)
+
+    def two_group_batch(self):
+        # norms at the initial params span 1.6 to 6.4, so a bound of 3.0
+        # clips part of each group, in different shares
+        rng = np.random.default_rng(21)
+        return Batch(3.0 * rng.standard_normal((24, 4)), rng.integers(0, 2, 24),
+                     np.repeat([0, 1], [17, 7]))
+
+    def assert_noiseless_update(self, strategy, batch, bounds, weights):
+        """The zero-noise update equals the mean of rows scaled by
+        min(1, C_g/norm) * w_g, bit for bit."""
+        new_params, _ = dp_step(self.spec, self.params, batch, strategy, 0.0, 1.0, 0.1,
+                                np.random.default_rng(0), np.random.default_rng(1),
+                                PrivacyLedger(), 2)
+        grads = per_sample_grads(self.spec, self.params, batch)
+        g = batch.groups
+        factors = np.minimum(1.0, bounds[g] / grads.norms) * weights[g]
+        expected = (grads.grads * factors[:, None]).sum(0) / g.shape[0]
+        np.testing.assert_array_equal(self.params - new_params, expected)
+
+    def test_noiseless_naive_update(self):
+        batch = self.two_group_batch()
+        weights = (24 / 2) / np.bincount(batch.groups)
+        assert np.all(weights != 1.0)
+        self.assert_noiseless_update(NaiveReweight(3.0, 0.0), batch, np.full(2, 3.0),
+                                     weights)
+
+    def test_noiseless_group_adaptive_update(self):
+        batch = self.two_group_batch()
+        norms = per_sample_grads(self.spec, self.params, batch).norms
+        counts = group_counts(norms, batch.groups, 3.0, 2)
+        bounds = adaptive_bounds(noise_counts(counts, 0.0, np.random.default_rng(0)),
+                                 3.0, 24)
+        assert bounds[0] != bounds[1]
+        self.assert_noiseless_update(GroupAdaptive(3.0, 0.0), batch, bounds, np.ones(2))
 
     def test_deterministic_under_seed(self):
         a, _, _ = self.run_step(Uniform(1.0), 0.8, seed=5)
@@ -245,7 +281,7 @@ class TestNoiseCalibration:
         rng = np.random.default_rng(12)
         rows, dim = 8, 6
         draws = np.stack([
-            private_mean_gradient(np.zeros((rows, dim)), 2.0, 0.5, rng)
+            private_mean_gradient(np.zeros((rows, dim)), np.ones(rows), 2.0, 0.5, rng)
             for _ in range(4000)
         ])
         expected = 0.5 * 2.0 / rows
@@ -255,13 +291,12 @@ class TestNoiseCalibration:
     def test_zero_noise_draws_nothing(self):
         rng = np.random.default_rng(12)
         before = rng.bit_generator.state["state"]["state"]
-        private_mean_gradient(np.ones((4, 3)), 1.0, 0.0, rng)
+        private_mean_gradient(np.ones((4, 3)), np.ones(4), 1.0, 0.0, rng)
         assert rng.bit_generator.state["state"]["state"] == before
 
 
 class TestStepRdpCurve:
     def test_matches_manual_composition(self):
-        from fairdp.privacy import compose
         curve = step_rdp_curve(GroupAdaptive(1.0, 8.0), 0.8, 0.05)
         manual = compose(PrivacyLedger([MechanismEvent(8.0, 0.05, 1),
                                         MechanismEvent(0.8, 0.05, 1)]))
@@ -270,3 +305,35 @@ class TestStepRdpCurve:
     def test_none_when_no_events(self):
         assert step_rdp_curve(NonPrivate(), 0.0, 0.05) is None
         assert step_rdp_curve(Uniform(1.0), 0.0, 0.05) is None
+
+
+class TestStepEventsSinglePath:
+    """``dp_step``, ``step_rdp_curve`` and ``train`` all use ``step_events``."""
+
+    @pytest.mark.parametrize("sigma2", [0.0, 0.8])
+    @pytest.mark.parametrize("sigma1", [0.0, 4.0])
+    @pytest.mark.parametrize("make", [
+        lambda s1: NonPrivate(), lambda s1: Uniform(1.0),
+        lambda s1: NaiveReweight(1.0, s1), lambda s1: GroupAdaptive(1.0, s1)],
+        ids=["nonprivate", "dpsgd", "naive", "dpsgd-f"])
+    def test_one_derivation(self, make, sigma1, sigma2):
+        strategy = make(sigma1)
+        data = toy_data()
+        tr, te = split(data, 0.8, seed=1)
+        cfg = base_config(strategy=strategy, noise_multiplier=sigma2, epochs=1)
+        rate = cfg.batch_size / tr.n
+        expected = step_events(strategy, sigma2, rate)
+
+        ledger = PrivacyLedger()
+        dp_step(cfg.model, init_params(cfg.model), tr.take(np.arange(32)), strategy,
+                sigma2, 0.1, rate, np.random.default_rng(0), np.random.default_rng(1),
+                ledger, tr.num_groups)
+        assert ledger.events == [event for _, event in expected]
+
+        curve = step_rdp_curve(strategy, sigma2, rate)
+        if expected:
+            np.testing.assert_array_equal(curve, compose(PrivacyLedger(ledger.events)).eps_rdp)
+        else:
+            assert curve is None
+
+        assert train(cfg, tr, te).event_kinds == tuple(kind for kind, _ in expected)
