@@ -106,19 +106,18 @@ def equalized_odds_gaps(spec: model.ModelSpec, params: np.ndarray, data,
     """Largest pairwise TPR gap and FPR gap across groups.
 
     A group missing one label value has its rate undefined (NaN) and is
-    excluded from the pairwise maxima; a warning reports which group. If
-    fewer than two groups remain defined, the gap itself is NaN.
+    excluded from the pairwise maxima; one warning per undefined rate names
+    every such group. If fewer than two groups remain defined, the gap
+    itself is NaN.
     """
     if np.any(data.group_sizes() == 0):
         raise DataError("empty group in evaluation data")
     is_positive = data.labels == positive_class
     tpr = _positive_rates(spec, params, data, positive_class, is_positive)
     fpr = _positive_rates(spec, params, data, positive_class, ~is_positive)
-    for k in range(data.num_groups):
-        if not np.isfinite(tpr[k]):
-            warnings.warn(f"group '{data.group_names[k]}' has no positive labels; "
-                          "TPR undefined", stacklevel=2)
-        if not np.isfinite(fpr[k]):
-            warnings.warn(f"group '{data.group_names[k]}' has no negative labels; "
-                          "FPR undefined", stacklevel=2)
+    for rates, label, rate in ((tpr, "positive", "TPR"), (fpr, "negative", "FPR")):
+        missing = [f"'{data.group_names[k]}'" for k in np.flatnonzero(~np.isfinite(rates))]
+        if missing:
+            warnings.warn(f"no {label} labels in group(s) {', '.join(missing)}; "
+                          f"{rate} undefined", stacklevel=2)
     return _max_pairwise_gap(tpr), _max_pairwise_gap(fpr)

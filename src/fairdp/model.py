@@ -11,6 +11,14 @@ squared norm of the weight matrices (biases are not regularized). Because
 the penalty is charged to every sample, the mean of per-sample gradients
 equals the gradient of the regularized mean objective.
 
+Per-sample gradients are streamed: ``GradStream`` runs one forward/backward
+pass per batch, keeping each layer's inputs and output deltas, and builds
+the gradient rows from them a block at a time in one reused buffer of at
+most BLOCK_BYTES. The norms and the factor-weighted sum are read from the
+blocks, so no b x param_count matrix is ever held. ``per_sample_grads``
+materializes that matrix with the same fill routine; it is the reference
+the stream is tested against, bit for bit.
+
 All arithmetic is 64-bit; logits go through a max-subtracted log-sum-exp so
 extreme values neither overflow nor lose the probability normalization.
 """
@@ -30,6 +38,9 @@ MLP = "mlp"
 
 _PARAMS_HEADER = struct.Struct("<4Id")
 _KIND_CODES = {SOFTMAX: 0, MLP: 1}
+
+# bytes of gradient rows one streamed block may hold
+BLOCK_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -160,8 +171,118 @@ def per_sample_losses(spec: ModelSpec, params: np.ndarray, batch) -> np.ndarray:
     return _sample_losses(spec, params, logits, np.asarray(batch.labels, dtype=np.int64))
 
 
+def _layer_factors(spec: ModelSpec, params: np.ndarray, batch):
+    """One forward/backward pass: the losses and each segment's factors.
+
+    Segments come in parameter order as ``(inputs, deltas, penalty)``. Row i
+    of a weight segment is the outer product of ``inputs[i]`` and
+    ``deltas[i]`` plus ``penalty``, the L2 term (None when l2 is 0); row i
+    of a bias segment (``inputs`` None) is ``deltas[i]``.
+    """
+    x = np.asarray(batch.features, dtype=np.float64)
+    y = np.asarray(batch.labels, dtype=np.int64)
+    logits, z1, a1 = _logits(spec, params, x)
+    losses = _sample_losses(spec, params, logits, y)
+    delta_out = _softmax(logits)
+    delta_out[np.arange(y.shape[0]), y] -= 1.0
+
+    def penalty(w):
+        return spec.l2 * w.ravel() if spec.l2 else None
+
+    if spec.kind == SOFTMAX:
+        w, _ = _unpack(spec, params)
+        return losses, ((x, delta_out, penalty(w)), (None, delta_out, None))
+    w1, _, w2, _ = _unpack(spec, params)
+    delta_hidden = (delta_out @ w2.T) * (z1 > 0.0)
+    return losses, ((x, delta_hidden, penalty(w1)), (None, delta_hidden, None),
+                    (a1, delta_out, penalty(w2)), (None, delta_out, None))
+
+
+def _fill(segments, start: int, stop: int, out: np.ndarray) -> None:
+    """Write the gradient rows start..stop-1 of a batch into ``out``."""
+    off = 0
+    for inputs, deltas, penalty in segments:
+        d = deltas[start:stop]
+        if inputs is None:
+            out[:, off: off + d.shape[1]] = d
+            off += d.shape[1]
+            continue
+        a = inputs[start:stop]
+        block = out[:, off: off + a.shape[1] * d.shape[1]]
+        np.einsum("bi,bj->bij", a, d, out=block.reshape(-1, a.shape[1], d.shape[1]))
+        if penalty is not None:
+            block += penalty
+        off += block.shape[1]
+
+
+def block_rows(spec: ModelSpec) -> int:
+    """Gradient rows per streamed block: as many as fit in BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // (8 * spec.param_count))
+
+
+class GradStream:
+    """Per-sample gradients of one batch, made a block of rows at a time.
+
+    Construction runs the batch's forward/backward pass once, then fills
+    its gradient rows, at most ``block_rows(spec)`` at a time, into one
+    reused buffer to read their norms. ``weighted_sum`` fills the blocks
+    again to sum the rows. Memory is bounded by the block, not the batch.
+
+    Attributes:
+      norms, losses: per-sample gradient norms and regularized losses.
+      rows: the batch size.
+    """
+
+    def __init__(self, spec: ModelSpec, params: np.ndarray, batch):
+        self.losses, self._segments = _layer_factors(spec, params, batch)
+        self.rows = self.losses.shape[0]
+        k = block_rows(spec)
+        self._blocks = [(start, min(start + k, self.rows))
+                        for start in range(0, self.rows, k)]
+        # with several blocks, buffer row 0 carries the running total
+        self._carry = int(len(self._blocks) > 1)
+        self._buffer = np.empty((min(k, self.rows) + self._carry, spec.param_count))
+        self._held = None
+        self.norms = np.empty(self.rows)
+        # in reverse, so that the buffer ends up holding the block the sum starts with
+        for start, stop in reversed(self._blocks):
+            self.norms[start:stop] = np.linalg.norm(self._block(start, stop), axis=1)
+
+    def _block(self, start: int, stop: int) -> np.ndarray:
+        """The buffer rows holding gradient rows start..stop-1, filled if needed."""
+        rows = self._buffer[self._carry: self._carry + stop - start]
+        if self._held != start:
+            _fill(self._segments, start, stop, rows)
+            self._held = start
+        return rows
+
+    def weighted_sum(self, factors: np.ndarray | None = None) -> np.ndarray:
+        """Sum of the rows, row i scaled by ``factors[i]`` (unscaled for None).
+
+        Equal bit for bit to ``(grads * factors[:, None]).sum(axis=0)`` on
+        the materialized matrix: that sum folds the rows in order, and each
+        block's sum here starts from the running total of the blocks before.
+        """
+        total = None
+        for start, stop in self._blocks:
+            rows = self._block(start, stop)
+            self._held = None
+            if factors is not None:
+                rows *= factors[start:stop, None]
+            if total is None:
+                total = rows.sum(axis=0)
+            else:
+                self._buffer[0] = total
+                total = self._buffer[: 1 + stop - start].sum(axis=0)
+        return total
+
+
 def per_sample_grads(spec: ModelSpec, params: np.ndarray, batch) -> PerSampleGrads:
     """Gradient of each sample's regularized loss w.r.t. the flat params.
+
+    The materialized form of ``GradStream``: the whole batch in one block.
+    Training streams instead; this is the reference the stream is tested
+    against.
 
     Args:
       batch: anything with ``features`` (b x input_dim) and ``labels`` (b).
@@ -170,40 +291,10 @@ def per_sample_grads(spec: ModelSpec, params: np.ndarray, batch) -> PerSampleGra
       PerSampleGrads with a (b x param_count) gradient matrix, row norms,
       and per-sample losses.
     """
-    x = np.asarray(batch.features, dtype=np.float64)
-    y = np.asarray(batch.labels, dtype=np.int64)
-    b = x.shape[0]
-    rows = np.arange(b)
-    logits, z1, a1 = _logits(spec, params, x)
-    losses = _sample_losses(spec, params, logits, y)
-    delta_out = _softmax(logits)
-    delta_out[rows, y] -= 1.0
-
-    grads = np.empty((b, spec.param_count))
-    if spec.kind == SOFTMAX:
-        w, _ = _unpack(spec, params)
-        d, c = spec.input_dim, spec.num_classes
-        gw = np.einsum("bi,bj->bij", x, delta_out).reshape(b, d * c)
-        if spec.l2:
-            gw += spec.l2 * w.ravel()
-        grads[:, : d * c] = gw
-        grads[:, d * c:] = delta_out
-    else:
-        w1, _, w2, _ = _unpack(spec, params)
-        d, h, c = spec.input_dim, spec.hidden, spec.num_classes
-        delta_hidden = (delta_out @ w2.T) * (z1 > 0.0)
-        gw1 = np.einsum("bi,bj->bij", x, delta_hidden).reshape(b, d * h)
-        gw2 = np.einsum("bi,bj->bij", a1, delta_out).reshape(b, h * c)
-        if spec.l2:
-            gw1 += spec.l2 * w1.ravel()
-            gw2 += spec.l2 * w2.ravel()
-        off = 0
-        grads[:, off: off + d * h] = gw1; off += d * h
-        grads[:, off: off + h] = delta_hidden; off += h
-        grads[:, off: off + h * c] = gw2; off += h * c
-        grads[:, off:] = delta_out
-    norms = np.linalg.norm(grads, axis=1)
-    return PerSampleGrads(grads, norms, losses)
+    losses, segments = _layer_factors(spec, params, batch)
+    grads = np.empty((losses.shape[0], spec.param_count))
+    _fill(segments, 0, grads.shape[0], grads)
+    return PerSampleGrads(grads, np.linalg.norm(grads, axis=1), losses)
 
 
 def accuracy(spec: ModelSpec, params: np.ndarray, data) -> float:

@@ -29,10 +29,14 @@ import numpy as np
 from . import metrics, privacy
 from .clipping import ClipOutcome, ClipStrategy, GroupClipReport, NonPrivate, apply_strategy
 from .errors import NumericError
-from .model import ModelSpec, forward as model_forward, init_params, per_sample_grads
+from .model import GradStream, ModelSpec, forward as model_forward, init_params
+from .model import per_sample_grads  # noqa: F401  (perfbench/spans.py probes this binding)
 from .privacy import MechanismEvent, PrivacyLedger, RdpCurve
 
 INV_SQRT_TOTAL = "inv_sqrt_total"
+
+# rows per group_train_stats chunk; it fixes the order of the per-group sums
+STATS_CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -94,20 +98,20 @@ def sample_batch(n: int, batch_size: int, rng: np.random.Generator) -> np.ndarra
     return np.sort(rng.choice(n, size=batch_size, replace=False))
 
 
-def private_mean_gradient(grads: np.ndarray, factors: np.ndarray | None,
+def private_mean_gradient(grads: GradStream, factors: np.ndarray | None,
                           sensitivity: float, noise_multiplier: float,
                           rng: np.random.Generator) -> np.ndarray:
-    """Mean of the factor-scaled rows after noising their sum.
+    """Mean of the factor-scaled gradient rows after noising their sum.
 
     Row i is scaled by ``factors[i]``; ``factors=None`` sums the rows
     unscaled (the non-private path). Adds i.i.d. Gaussian noise of standard
     deviation noise_multiplier * sensitivity to the sum, then divides by the
     row count. With a zero noise multiplier, nothing is drawn from ``rng``.
     """
-    total = (grads if factors is None else grads * factors[:, None]).sum(axis=0)
+    total = grads.weighted_sum(factors)
     if noise_multiplier > 0.0:
         total = total + rng.normal(0.0, noise_multiplier * sensitivity, size=total.shape)
-    return total / grads.shape[0]
+    return total / grads.rows
 
 
 def step_events(strategy: Union[ClipStrategy, NonPrivate], noise_multiplier: float,
@@ -138,16 +142,16 @@ def dp_step(spec: ModelSpec, params: np.ndarray, batch,
     Raises:
       NumericError: a non-finite per-sample gradient or loss was produced.
     """
-    grads = per_sample_grads(spec, params, batch)
+    grads = GradStream(spec, params, batch)
     if not (np.isfinite(grads.norms).all() and np.isfinite(grads.losses).all()):
         raise NumericError("non-finite per-sample gradient")
     if isinstance(strategy, NonPrivate):
-        update = private_mean_gradient(grads.grads, None, 0.0, 0.0, noise_rng)
+        update = private_mean_gradient(grads, None, 0.0, 0.0, noise_rng)
         return params - lr * update, None
     outcome = apply_strategy(strategy, grads.norms, batch.groups, num_groups, count_rng)
     for _, event in step_events(strategy, noise_multiplier, sampling_rate):
         ledger.append(event)
-    update = private_mean_gradient(grads.grads, outcome.factors, outcome.sensitivity,
+    update = private_mean_gradient(grads, outcome.factors, outcome.sensitivity,
                                    noise_multiplier, noise_rng)
     return params - lr * update, outcome
 
@@ -161,21 +165,20 @@ def step_rdp_curve(strategy, noise_multiplier: float, sampling_rate: float,
     return privacy.compose(PrivacyLedger(events), orders).eps_rdp
 
 
-def group_train_stats(spec: ModelSpec, params: np.ndarray, data,
-                      chunk_size: int = 2048):
+def group_train_stats(spec: ModelSpec, params: np.ndarray, data):
     """Per-group mean loss, mean pre-clip gradient norm, and accuracy.
 
-    Computed over the full dataset in chunks; a group absent from the data
-    gets NaN entries.
+    Computed over the full dataset in chunks of STATS_CHUNK_ROWS; a group
+    absent from the data gets NaN entries.
     """
     num_groups = data.num_groups
     loss_sum = np.zeros(num_groups)
     norm_sum = np.zeros(num_groups)
     correct = np.zeros(num_groups)
-    for start in range(0, data.n, chunk_size):
-        idx = np.arange(start, min(start + chunk_size, data.n))
+    for start in range(0, data.n, STATS_CHUNK_ROWS):
+        idx = np.arange(start, min(start + STATS_CHUNK_ROWS, data.n))
         batch = data.take(idx)
-        grads = per_sample_grads(spec, params, batch)
+        grads = GradStream(spec, params, batch)
         preds = np.argmax(model_forward(spec, params, batch.features), axis=1)
         hits = (preds == batch.labels).astype(np.float64)
         loss_sum += np.bincount(batch.groups, weights=grads.losses, minlength=num_groups)

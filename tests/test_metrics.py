@@ -201,10 +201,14 @@ class TestFairnessGaps:
                     assert got == pytest.approx(want, abs=1e-12)
 
     def test_missing_label_value_warns_and_excludes(self):
-        # group 1 has no positive labels: its TPR is undefined
-        x = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
-        data = make_data(x, [1, 0, 0, 0], [0, 0, 1, 1])
-        with pytest.warns(UserWarning, match="no positive labels"):
+        # groups 1 and 2 have no positive labels: their TPRs are undefined
+        x = np.array([[1.0], [-1.0], [-1.0], [-1.0], [-1.0]])
+        data = make_data(x, [1, 0, 0, 0, 0], [0, 0, 1, 1, 2], num_groups=3)
+        with pytest.warns(UserWarning) as record:
             tpr_gap, fpr_gap = equalized_odds_gaps(SPEC1D, perfect_params(), data)
+        assert len(record) == 1  # one warning per undefined rate, not per group
+        message = str(record[0].message)
+        assert "no positive labels" in message
+        assert "'g1'" in message and "'g2'" in message and "'g0'" not in message
         assert np.isnan(tpr_gap)  # only one group has a defined TPR
         assert fpr_gap == 0.0

@@ -3,9 +3,9 @@ import pytest
 
 from fairdp.dataio import Batch, Dataset
 from fairdp.errors import DataError
-from fairdp.model import (ModelSpec, accuracy, forward, init_params,
-                          load_params, per_sample_grads, per_sample_losses,
-                          save_params)
+from fairdp.model import (GradStream, ModelSpec, accuracy, block_rows, forward,
+                          init_params, load_params, per_sample_grads,
+                          per_sample_losses, save_params)
 
 
 def random_batch(rng, n, d, c):
@@ -215,6 +215,35 @@ class TestPerSampleGrads:
         g = per_sample_grads(spec, params, random_batch(rng, 10, 4, 2))
         np.testing.assert_allclose(g.norms, np.linalg.norm(g.grads, axis=1),
                                    rtol=1e-15)
+
+
+class TestGradStream:
+    """The streamed norms, losses and weighted sums equal the materialized
+    ``per_sample_grads`` ones bit for bit, whatever the block count."""
+
+    # softmax(784, 10): P = 7,850, 66-row blocks; mlp(784, 100, 10): P = 79,510,
+    # 6-row blocks. Batches of 1 row, fewer than, exactly and more than one block.
+    CASES = [("softmax", b) for b in (1, 20, 66, 150)] + [("mlp", b) for b in (1, 5, 6, 20)]
+
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    @pytest.mark.parametrize("kind,rows", CASES)
+    def test_equals_materialized(self, kind, rows, l2):
+        spec = ModelSpec.softmax(784, 10, l2) if kind == "softmax" \
+            else ModelSpec.mlp(784, 100, 10, l2)
+        assert block_rows(spec) == {"softmax": 66, "mlp": 6}[kind]
+        rng = np.random.default_rng(rows)
+        params = init_params(spec, seed=1) + 0.05 * rng.standard_normal(spec.param_count)
+        batch = random_batch(rng, rows, 784, 10)
+        whole = per_sample_grads(spec, params, batch)
+        stream = GradStream(spec, params, batch)
+        np.testing.assert_array_equal(stream.norms, whole.norms)
+        np.testing.assert_array_equal(stream.losses, whole.losses)
+        factors = rng.uniform(0.0, 2.0, rows)
+        for _ in range(2):  # a second sum must not see the first one's scaling
+            np.testing.assert_array_equal(stream.weighted_sum(factors),
+                                          (whole.grads * factors[:, None]).sum(axis=0))
+            np.testing.assert_array_equal(stream.weighted_sum(None),
+                                          whole.grads.sum(axis=0))
 
 
 class TestAccuracy:

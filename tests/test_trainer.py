@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from fairdp.clipping import (GroupAdaptive, NaiveReweight, NonPrivate, Uniform,
                              adaptive_bounds, group_counts, noise_counts)
 from fairdp.dataio import Batch, Dataset, synth_two_group, split
 from fairdp.errors import NumericError
-from fairdp.model import ModelSpec, init_params, per_sample_grads
+from fairdp.model import GradStream, ModelSpec, init_params, per_sample_grads
 from fairdp.privacy import MechanismEvent, PrivacyLedger, compose
-from fairdp.trainer import (TrainConfig, dp_step, private_mean_gradient,
-                            resolve_learning_rate, sample_batch, step_events,
-                            step_rdp_curve, train, train_nonprivate)
+from fairdp.trainer import (TrainConfig, dp_step, group_train_stats,
+                            private_mean_gradient, resolve_learning_rate,
+                            sample_batch, step_events, step_rdp_curve, train,
+                            train_nonprivate)
 
 
 def toy_data(seed=0, n_major=120, n_minor=40, dim=4):
@@ -274,16 +276,26 @@ class TestTrainLoop:
         assert res.epoch_logs[-1].train_accuracy[0] == 1.0
 
 
+def gradient_stream(rows, input_dim):
+    """Gradients of ``rows`` samples under a softmax over two classes."""
+    spec = ModelSpec.softmax(input_dim, 2)
+    batch = Batch(np.ones((rows, input_dim)), np.zeros(rows, dtype=int),
+                  np.zeros(rows, dtype=int))
+    return GradStream(spec, init_params(spec), batch)
+
+
 class TestNoiseCalibration:
     def test_private_mean_gradient_std(self):
-        # zero gradients isolate the injected noise: the update's
-        # coordinatewise std must be noise_multiplier * sensitivity / rows
+        # zero factors zero every row, which isolates the injected noise: the
+        # update's coordinatewise std must be noise_multiplier * sensitivity / rows
         rng = np.random.default_rng(12)
         rows, dim = 8, 6
+        grads = gradient_stream(rows, input_dim=2)  # (2 + 1) * 2 = dim parameters
         draws = np.stack([
-            private_mean_gradient(np.zeros((rows, dim)), np.ones(rows), 2.0, 0.5, rng)
+            private_mean_gradient(grads, np.zeros(rows), 2.0, 0.5, rng)
             for _ in range(4000)
         ])
+        assert draws.shape == (4000, dim)
         expected = 0.5 * 2.0 / rows
         assert np.abs(draws.std(axis=0) - expected).max() < 0.05 * expected
         assert np.abs(draws.mean(axis=0)).max() < 5 * expected / math.sqrt(4000)
@@ -291,8 +303,41 @@ class TestNoiseCalibration:
     def test_zero_noise_draws_nothing(self):
         rng = np.random.default_rng(12)
         before = rng.bit_generator.state["state"]["state"]
-        private_mean_gradient(np.ones((4, 3)), np.ones(4), 1.0, 0.0, rng)
+        private_mean_gradient(gradient_stream(4, 1), np.ones(4), 1.0, 0.0, rng)
         assert rng.bit_generator.state["state"]["state"] == before
+
+
+class TestStreamedMemory:
+    """At P = 79,510 neither the eval nor a step holds the b x P gradient
+    matrix: a 256-row one alone is 163 MB."""
+
+    LIMIT = 32 * 2**20
+
+    def setup_method(self):
+        self.spec = ModelSpec.mlp(784, 100, 10)
+        rng = np.random.default_rng(4)
+        self.data = Dataset(rng.uniform(0.0, 1.0, (300, 784)), rng.integers(0, 10, 300),
+                            rng.integers(0, 10, 300), tuple(f"g{k}" for k in range(10)), 10)
+        self.params = init_params(self.spec, seed=1)
+
+    def peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_group_train_stats(self):
+        assert self.peak(lambda: group_train_stats(self.spec, self.params, self.data)) \
+            < self.LIMIT
+
+    def test_dp_step(self):
+        batch = self.data.take(np.arange(256))
+        assert self.peak(lambda: dp_step(
+            self.spec, self.params, batch, GroupAdaptive(8.0, 1.0), 1.0, 0.1, 0.5,
+            np.random.default_rng(0), np.random.default_rng(1), PrivacyLedger(),
+            self.data.num_groups)) < self.LIMIT
 
 
 class TestStepRdpCurve:
