@@ -2,7 +2,8 @@
 
 Subcommands: prepare-data, train, accountant, analyze, compare. Configs are
 INI-style files with four sections ([dataset], [model], [training],
-[report]); unknown sections or keys are rejected before any work starts.
+[report]) and the keys in ``CONFIG_KEYS``. Unknown sections or keys, and
+unparsable or out-of-range values, are configuration errors (exit 2).
 All outputs are UTF-8, CSVs carry header rows, and JSON files are dumped
 with sorted keys and no timestamps, so rerunning a config reproduces every
 artifact byte for byte.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import json
@@ -30,74 +32,131 @@ from .errors import ConfigError, DataError, NumericError
 from .model import ModelSpec, save_params
 from .privacy import ACCOUNTING_ASSUMPTION, MechanismEvent, PrivacyLedger
 
-STRATEGY_NAMES = ("dpsgd", "naive", "dpsgd-f")
 BASELINE_NAME = "nonprivate"
+
+# strategy name -> its clipping strategy, built from the [training] section
+STRATEGIES = {
+    "dpsgd": lambda tr: Uniform(tr["clip"]),
+    "naive": lambda tr: NaiveReweight(tr["clip"], tr["sigma1"]),
+    "dpsgd-f": lambda tr: GroupAdaptive(tr["clip"], tr["sigma1"]),
+}
+STRATEGY_NAMES = tuple(STRATEGIES)
 
 
 # --------------------------------------------------------------------------
 # config parsing
 
 
-def _parse_bool(raw: str, where: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{where}: expected a boolean, got '{raw}'")
+def _parser(convert, expected: str):
+    """A key parser: ``convert(raw)``, with a KeyError, a ValueError or a NaN
+    reported as ``"<where><expected>, got '<raw>'"``."""
+    def parse(raw, where):
+        try:
+            value = convert(raw)
+            if value != value:  # NaN; inf is kept as Uniform's no-clip bound
+                raise ValueError(raw)
+            return value
+        except (KeyError, ValueError):
+            raise ConfigError(f"{where}{expected}, got '{raw}'") from None
+    return parse
 
 
-def _parse_int(raw: str, where: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: expected an integer, got '{raw}'") from None
+def _choice(names: tuple, spelled: str):
+    # tuple.index raises ValueError for a name not listed
+    return _parser(lambda raw: names[names.index(raw)], f" must be {spelled}")
 
 
-def _parse_float(raw: str, where: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: expected a number, got '{raw}'") from None
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_parse_int = _parser(int, ": expected an integer")
+_parse_float = _parser(float, ": expected a number")
+_parse_bool = _parser(lambda raw: _BOOLEANS[raw.lower()], ": expected a boolean")
+_parse_text = _parser(str, "")
+_parse_lr = _parser(lambda raw: raw if raw == trainer.INV_SQRT_TOTAL else float(raw),
+                    ": expected a number")
+_parse_dataset_kind = _choice(("synth", "census", "idx"), "synth, census, or idx")
 
 
 def _parse_schema(raw: str, where: str) -> list[tuple[str, str]]:
+    tokens = [token.strip() for token in raw.split(",") if token.strip()]
+    if not tokens:
+        raise ConfigError(f"{where}: empty schema")
     schema = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in tokens:
         name, sep, kind = token.partition(":")
         if not sep or kind.strip() not in (dataio.CATEGORICAL, dataio.NUMERIC):
             raise ConfigError(f"{where}: bad schema entry '{token}' "
                               "(want name:categorical or name:numeric)")
         schema.append((name.strip(), kind.strip()))
-    if not schema:
-        raise ConfigError(f"{where}: empty schema")
     return schema
 
 
-_DATASET_KEYS = {
-    "common": {"kind", "seed", "split_fraction", "subsample_group", "subsample_size"},
-    "synth": {"n_major", "n_minor", "dim", "separation_major", "separation_minor"},
-    "census": {"path", "schema", "header", "protected", "label", "protected_positive"},
-    "idx": {"images", "labels"},
+REQUIRED = object()  # default of a key the config must give
+UNSET = object()     # default of a key left out of the result when not given
+
+# section -> key -> (parser, default, the dataset kind the key belongs to, or
+# None for every kind). A section's keys are checked for presence and parsed
+# in this order, so the first missing key named is the same on every run.
+CONFIG_KEYS = {
+    "dataset": {
+        "kind": (_parse_dataset_kind, REQUIRED, None),
+        "seed": (_parse_int, REQUIRED, None),
+        "split_fraction": (_parse_float, 0.8, None),
+        "n_major": (_parse_int, REQUIRED, "synth"),
+        "n_minor": (_parse_int, REQUIRED, "synth"),
+        "dim": (_parse_int, REQUIRED, "synth"),
+        "separation_major": (_parse_float, REQUIRED, "synth"),
+        "separation_minor": (_parse_float, REQUIRED, "synth"),
+        "path": (_parse_text, REQUIRED, "census"),
+        "schema": (_parse_schema, REQUIRED, "census"),
+        "header": (_parse_bool, True, "census"),
+        "protected": (_parse_text, REQUIRED, "census"),
+        "label": (_parse_text, REQUIRED, "census"),
+        "protected_positive": (_parse_text, REQUIRED, "census"),
+        "images": (_parse_text, REQUIRED, "idx"),
+        "labels": (_parse_text, REQUIRED, "idx"),
+        "subsample_group": (_parse_int, UNSET, None),
+        "subsample_size": (_parse_int, UNSET, None),
+    },
+    "model": {
+        "kind": (_choice(("softmax", "mlp"), "softmax or mlp"), REQUIRED, None),
+        "hidden": (_parse_int, 0, None),
+        "l2": (_parse_float, 0.0, None),
+    },
+    "training": {
+        "strategy": (_choice(STRATEGY_NAMES, f"one of {STRATEGY_NAMES}"), REQUIRED, None),
+        "clip": (_parse_float, REQUIRED, None),
+        "sigma2": (_parse_float, REQUIRED, None),
+        "sigma1": (_parse_float, UNSET, None),
+        "sigma1_ratio": (_parse_float, 10.0, None),
+        "lr": (_parse_lr, REQUIRED, None),
+        "batch_size": (_parse_int, REQUIRED, None),
+        "epochs": (_parse_int, REQUIRED, None),
+        "delta": (_parse_float, REQUIRED, None),
+        "seed": (_parse_int, REQUIRED, None),
+        "budget_target": (_parse_float, None, None),
+        "eval_every": (_parse_int, 1, None),
+    },
+    "report": {
+        "out_dir": (_parse_text, REQUIRED, None),
+        "tau": (_parse_float, 0.05, None),
+        "positive_class": (_parse_int, 1, None),
+    },
 }
 
-_MODEL_KEYS = {"kind", "hidden", "l2"}
-_TRAINING_KEYS = {"strategy", "clip", "sigma2", "sigma1", "sigma1_ratio", "lr",
-                  "batch_size", "epochs", "delta", "seed", "budget_target",
-                  "eval_every"}
-_REPORT_KEYS = {"out_dir", "tau", "positive_class"}
 
-
-def _check_keys(section: str, raw: dict, allowed: set, required: set) -> None:
+def _section(parser: configparser.ConfigParser, name: str, kind=None) -> dict:
+    """Check and parse one section against its keys in ``CONFIG_KEYS``."""
+    keys = {key: (parse, default) for key, (parse, default, key_kind)
+            in CONFIG_KEYS[name].items() if key_kind in (None, kind)}
+    raw = dict(parser.items(name))
     for key in raw:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in [{section}]")
-    for key in required:
-        if key not in raw:
-            raise ConfigError(f"missing key '{key}' in [{section}]")
+        if key not in keys:
+            raise ConfigError(f"unknown key '{key}' in [{name}]")
+    for key, (_, default) in keys.items():
+        if default is REQUIRED and key not in raw:
+            raise ConfigError(f"missing key '{key}' in [{name}]")
+    return {key: parse(raw[key], f"[{name}] {key}") if key in raw else default
+            for key, (parse, default) in keys.items() if key in raw or default is not UNSET}
 
 
 def load_config(path) -> dict:
@@ -111,100 +170,42 @@ def load_config(path) -> dict:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config '{path}': {exc}") from exc
 
-    known_sections = {"dataset", "model", "training", "report"}
     for section in parser.sections():
-        if section not in known_sections:
+        if section not in CONFIG_KEYS:
             raise ConfigError(f"unknown section [{section}]")
-    for section in ("dataset", "model", "training", "report"):
+    for section in CONFIG_KEYS:
         if not parser.has_section(section):
             raise ConfigError(f"missing section [{section}]")
 
-    ds_raw = dict(parser.items("dataset"))
-    kind = ds_raw.get("kind")
-    if kind not in ("synth", "census", "idx"):
-        raise ConfigError(f"[dataset] kind must be synth, census, or idx, got '{kind}'")
-    allowed = _DATASET_KEYS["common"] | _DATASET_KEYS[kind]
-    required = {"kind", "seed"} | _DATASET_KEYS[kind]
-    if kind == "census":
-        required = required - {"header"}
-    _check_keys("dataset", ds_raw, allowed, required)
-    dataset = {"kind": kind, "seed": _parse_int(ds_raw["seed"], "[dataset] seed"),
-               "split_fraction": _parse_float(ds_raw.get("split_fraction", "0.8"),
-                                              "[dataset] split_fraction")}
+    given = parser["dataset"]
+    kind = _parse_dataset_kind(given.get("kind"), "[dataset] kind")
+    if ("subsample_group" in given) != ("subsample_size" in given):
+        raise ConfigError("[dataset] subsample_group and subsample_size go together")
+    dataset = _section(parser, "dataset", kind)
     if not 0.0 < dataset["split_fraction"] < 1.0:
         raise ConfigError("[dataset] split_fraction must be in (0, 1)")
-    if kind == "synth":
-        for key in ("n_major", "n_minor", "dim"):
-            dataset[key] = _parse_int(ds_raw[key], f"[dataset] {key}")
-        for key in ("separation_major", "separation_minor"):
-            dataset[key] = _parse_float(ds_raw[key], f"[dataset] {key}")
-    elif kind == "census":
-        dataset["path"] = ds_raw["path"]
-        dataset["schema"] = _parse_schema(ds_raw["schema"], "[dataset] schema")
-        dataset["header"] = _parse_bool(ds_raw.get("header", "true"), "[dataset] header")
-        for key in ("protected", "label", "protected_positive"):
-            dataset[key] = ds_raw[key]
-    else:
-        dataset["images"] = ds_raw["images"]
-        dataset["labels"] = ds_raw["labels"]
-    if ("subsample_group" in ds_raw) != ("subsample_size" in ds_raw):
-        raise ConfigError("[dataset] subsample_group and subsample_size go together")
-    if "subsample_group" in ds_raw:
-        dataset["subsample_group"] = _parse_int(ds_raw["subsample_group"],
-                                                "[dataset] subsample_group")
-        dataset["subsample_size"] = _parse_int(ds_raw["subsample_size"],
-                                               "[dataset] subsample_size")
 
-    md_raw = dict(parser.items("model"))
-    _check_keys("model", md_raw, _MODEL_KEYS, {"kind"})
-    if md_raw["kind"] not in ("softmax", "mlp"):
-        raise ConfigError(f"[model] kind must be softmax or mlp, got '{md_raw['kind']}'")
-    if md_raw["kind"] == "mlp" and "hidden" not in md_raw:
+    model = _section(parser, "model")
+    if model["kind"] == "mlp" and not parser.has_option("model", "hidden"):
         raise ConfigError("[model] mlp requires 'hidden'")
-    model_cfg = {"kind": md_raw["kind"],
-                 "l2": _parse_float(md_raw.get("l2", "0.0"), "[model] l2"),
-                 "hidden": _parse_int(md_raw.get("hidden", "0"), "[model] hidden")}
 
-    tr_raw = dict(parser.items("training"))
-    _check_keys("training", tr_raw, _TRAINING_KEYS,
-                {"strategy", "clip", "sigma2", "lr", "batch_size", "epochs",
-                 "delta", "seed"})
-    if tr_raw["strategy"] not in STRATEGY_NAMES:
-        raise ConfigError(f"[training] strategy must be one of {STRATEGY_NAMES},"
-                          f" got '{tr_raw['strategy']}'")
-    sigma2 = _parse_float(tr_raw["sigma2"], "[training] sigma2")
-    ratio = _parse_float(tr_raw.get("sigma1_ratio", "10.0"), "[training] sigma1_ratio")
-    sigma1 = (_parse_float(tr_raw["sigma1"], "[training] sigma1")
-              if "sigma1" in tr_raw else ratio * sigma2)
-    lr_raw = tr_raw["lr"].strip()
-    lr = lr_raw if lr_raw == trainer.INV_SQRT_TOTAL else _parse_float(lr_raw, "[training] lr")
-    training = {
-        "strategy": tr_raw["strategy"],
-        "clip": _parse_float(tr_raw["clip"], "[training] clip"),
-        "sigma2": sigma2,
-        "sigma1": sigma1,
-        "lr": lr,
-        "batch_size": _parse_int(tr_raw["batch_size"], "[training] batch_size"),
-        "epochs": _parse_int(tr_raw["epochs"], "[training] epochs"),
-        "delta": _parse_float(tr_raw["delta"], "[training] delta"),
-        "seed": _parse_int(tr_raw["seed"], "[training] seed"),
-        "eval_every": _parse_int(tr_raw.get("eval_every", "1"), "[training] eval_every"),
-        "budget_target": (_parse_float(tr_raw["budget_target"], "[training] budget_target")
-                          if "budget_target" in tr_raw else None),
-    }
+    training = _section(parser, "training")
+    training.setdefault("sigma1", training.pop("sigma1_ratio") * training["sigma2"])
     if training["clip"] <= 0:
         raise ConfigError("[training] clip must be positive")
     if training["epochs"] < 1 or training["batch_size"] < 1:
         raise ConfigError("[training] epochs and batch_size must be >= 1")
+    return {"dataset": dataset, "model": model, "training": training,
+            "report": _section(parser, "report")}
 
-    rp_raw = dict(parser.items("report"))
-    _check_keys("report", rp_raw, _REPORT_KEYS, {"out_dir"})
-    report = {"out_dir": rp_raw["out_dir"],
-              "tau": _parse_float(rp_raw.get("tau", "0.05"), "[report] tau"),
-              "positive_class": _parse_int(rp_raw.get("positive_class", "1"),
-                                           "[report] positive_class")}
-    return {"dataset": dataset, "model": model_cfg, "training": training,
-            "report": report}
+
+@contextlib.contextmanager
+def _config_values():
+    """Report a ValueError from building library objects as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # --------------------------------------------------------------------------
@@ -236,15 +237,6 @@ def build_dataset(ds_cfg: dict):
     digest = dataio.fingerprint(data)
     train_data, test_data = dataio.split(data, ds_cfg["split_fraction"], seed + 2)
     return data, train_data, test_data, digest
-
-
-def build_strategy(tr_cfg: dict):
-    name = tr_cfg["strategy"]
-    if name == "dpsgd":
-        return Uniform(tr_cfg["clip"])
-    if name == "naive":
-        return NaiveReweight(tr_cfg["clip"], tr_cfg["sigma1"])
-    return GroupAdaptive(tr_cfg["clip"], tr_cfg["sigma1"])
 
 
 def build_model_spec(md_cfg: dict, input_dim: int, num_classes: int) -> ModelSpec:
@@ -343,7 +335,8 @@ def _fairness_dict(spec, params, test_data, positive_class) -> dict:
 
 def cmd_prepare_data(args) -> int:
     cfg = load_config(args.config)
-    data, train_data, test_data, digest = build_dataset(cfg["dataset"])
+    with _config_values():
+        data, train_data, test_data, digest = build_dataset(cfg["dataset"])
     out = Path(args.out or cfg["report"]["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     dataio.save_dataset(data, out / "dataset.bin")
@@ -364,17 +357,20 @@ def cmd_prepare_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    _, train_data, test_data, digest = build_dataset(cfg["dataset"])
     tr = cfg["training"]
-    spec = build_model_spec(cfg["model"], train_data.dim, train_data.num_classes)
+    with _config_values():
+        _, train_data, test_data, digest = build_dataset(cfg["dataset"])
+        spec = build_model_spec(cfg["model"], train_data.dim, train_data.num_classes)
+        config = trainer.TrainConfig(
+            model=spec, strategy=STRATEGIES[tr["strategy"]](tr),
+            noise_multiplier=tr["sigma2"], lr=tr["lr"], batch_size=tr["batch_size"],
+            epochs=tr["epochs"], delta=tr["delta"], seed=tr["seed"],
+            budget_target=tr["budget_target"], eval_every=tr["eval_every"])
     positive_class = cfg["report"]["positive_class"]
     if not 0 <= positive_class < train_data.num_classes:
         raise ConfigError(f"[report] positive_class {positive_class} out of range")
-    config = trainer.TrainConfig(
-        model=spec, strategy=build_strategy(tr), noise_multiplier=tr["sigma2"],
-        lr=tr["lr"], batch_size=tr["batch_size"], epochs=tr["epochs"],
-        delta=tr["delta"], seed=tr["seed"], budget_target=tr["budget_target"],
-        eval_every=tr["eval_every"])
+    if tr["batch_size"] > train_data.n:
+        raise ConfigError(f"[training] batch_size exceeds the {train_data.n} training rows")
 
     baseline = trainer.train_nonprivate(config, train_data, test_data)
     private = trainer.train(config, train_data, test_data)

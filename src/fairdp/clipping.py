@@ -62,8 +62,8 @@ class _GroupAware:
     def __post_init__(self):
         if not (self.base_bound > 0 and np.isfinite(self.base_bound)):
             raise ValueError("base_bound must be positive and finite")
-        if self.count_noise_std < 0:
-            raise ValueError("count_noise_std must be non-negative")
+        if not 0 <= self.count_noise_std < np.inf:
+            raise ValueError("count_noise_std must be finite and non-negative")
 
 
 @dataclass(frozen=True)

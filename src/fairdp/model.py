@@ -58,8 +58,8 @@ class ModelSpec:
             raise ValueError(f"unknown model kind '{self.kind}'")
         if self.input_dim < 1 or self.num_classes < 2:
             raise ValueError("need input_dim >= 1 and num_classes >= 2")
-        if self.l2 < 0:
-            raise ValueError("l2 must be non-negative")
+        if not 0 <= self.l2 < np.inf:
+            raise ValueError("l2 must be finite and non-negative")
         if self.kind == MLP and self.hidden < 1:
             raise ValueError("mlp needs hidden >= 1")
         if self.kind == SOFTMAX and self.hidden != 0:

@@ -57,10 +57,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1 or self.eval_every < 1:
             raise ValueError("batch_size, epochs, eval_every must be >= 1")
-        if self.noise_multiplier < 0:
-            raise ValueError("noise_multiplier must be non-negative")
+        if not 0 <= self.noise_multiplier < math.inf:
+            raise ValueError("noise_multiplier must be finite and non-negative")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must be in (0, 1]")
+        if self.budget_target is not None and not self.budget_target > 0:
+            raise ValueError("budget_target must be positive")
         if isinstance(self.lr, str) and self.lr != INV_SQRT_TOTAL:
             raise ValueError(f"lr must be a number or '{INV_SQRT_TOTAL}'")
 

@@ -1,7 +1,14 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fairdp
+from fairdp import cli
 from fairdp.cli import load_config, main
 from fairdp.errors import ConfigError
 
@@ -46,6 +53,23 @@ def write_config(tmp_path, out_dir, strategy="dpsgd", training_extra="",
     return path
 
 
+def mutate(text: str, section: str, key: str, value) -> str:
+    """Set ``key`` in ``section`` to ``value``, or drop it when value is None."""
+    lines = text.splitlines()
+    start = lines.index(f"[{section}]")
+    end = next((i for i in range(start + 1, len(lines)) if lines[i].startswith("[")),
+               len(lines))
+    new = [] if value is None else [f"{key} = {value}"]
+    for i in range(start + 1, end):
+        if "=" in lines[i] and lines[i].split("=")[0].strip() == key:
+            lines[i:i + 1] = new
+            break
+    else:
+        assert value is not None, f"no {key} in [{section}] to drop"
+        lines[start + 1:start + 1] = new
+    return "\n".join(lines) + "\n"
+
+
 ARTIFACTS = ("run.json", "epochs.csv", "params.bin", "fairness.json")
 
 
@@ -83,6 +107,93 @@ class TestConfigValidation:
         path = write_config(tmp_path, tmp_path / "out", strategy="dpsgd2")
         with pytest.raises(ConfigError, match="strategy"):
             load_config(path)
+
+    def test_missing_key_named_the_same_in_every_process(self, tmp_path):
+        text = MINIMAL_SYNTH.format(strategy="dpsgd", out_dir=tmp_path / "out")
+        for key in ("lr", "epochs", "delta", "seed"):
+            text = mutate(text, "training", key, None)
+        path = tmp_path / "exp.ini"
+        path.write_text(text, encoding="utf-8")
+        src = str(Path(fairdp.__file__).resolve().parent.parent)
+        errs = []
+        for hash_seed in range(4):
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "fairdp.cli", "train", "--config", str(path)],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 2
+            errs.append(proc.stderr)
+        assert errs == ["config error: missing key 'lr' in [training]\n"] * 4
+
+
+# (command, [(section, key, value)]) applied to MINIMAL_SYNTH; each value
+# parses but is out of range for a library constructor or for the data
+OUT_OF_RANGE = [
+    ("train", [("training", "delta", "2")]),
+    ("train", [("training", "sigma2", "-1")]),
+    ("train", [("training", "sigma2", "inf")]),
+    ("train", [("training", "eval_every", "0")]),
+    ("train", [("model", "kind", "mlp"), ("model", "hidden", "0")]),
+    ("train", [("model", "l2", "inf")]),
+    ("train", [("training", "strategy", "dpsgd-f"), ("training", "sigma1", "-1")]),
+    ("train", [("training", "strategy", "naive"), ("training", "sigma1", "inf")]),
+    ("train", [("training", "strategy", "dpsgd-f"), ("training", "clip", "inf")]),
+    ("train", [("training", "clip", "nan")]),
+    ("train", [("training", "batch_size", "200")]),  # 128 training rows
+    ("train", [("training", "budget_target", "-5")]),
+    ("prepare-data", [("dataset", "n_major", "0")]),
+]
+
+
+@pytest.mark.parametrize("command,changes", OUT_OF_RANGE,
+                         ids=[" ".join(f"{k}={v}" for _, k, v in c) for _, c in OUT_OF_RANGE])
+def test_out_of_range_value_is_config_error(tmp_path, capsys, command, changes):
+    text = MINIMAL_SYNTH.format(strategy="dpsgd", out_dir=tmp_path / "out")
+    for section, key, value in changes:
+        text = mutate(text, section, key, value)
+    path = tmp_path / "exp.ini"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,key", [("model", "l2"), ("report", "tau")])
+def test_nan_rejected_before_any_dataset(tmp_path, capsys, monkeypatch, section, key):
+    built = []
+    monkeypatch.setattr(cli, "build_dataset", built.append)
+    text = MINIMAL_SYNTH.format(strategy="dpsgd", out_dir=tmp_path / "out")
+    path = tmp_path / "exp.ini"
+    path.write_text(mutate(text, section, key, "nan"), encoding="utf-8")
+    assert main(["train", "--config", str(path)]) == 2
+    assert built == []
+    assert capsys.readouterr().err == \
+        f"config error: [{section}] {key}: expected a number, got 'nan'\n"
+
+
+def readme_config_keys() -> dict:
+    """The keys of each section named in the README's "Config format" block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Config format", 1)[1].split("```")[1]
+    keys, section = {}, None
+    for line in block.splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            section = line[1:-1]
+            keys[section] = set()
+        elif line.startswith("#"):  # "# synth: n_major, n_minor, ..." or its continuation
+            listed = re.sub(r"\(.*?\)", "", line.lstrip("# ")).split(":", 1)[-1]
+            keys[section] |= {k.strip() for k in listed.split(",") if k.strip()}
+        elif "=" in line:
+            keys[section].add(line.split("=", 1)[0].strip())
+    return keys
+
+
+def test_readme_names_exactly_the_config_keys():
+    assert readme_config_keys() == {name: set(keys) for name, keys in cli.CONFIG_KEYS.items()}
 
 
 class TestTrainCommand:
