@@ -188,6 +188,8 @@ def load_config(path) -> dict:
     model = _section(parser, "model")
     if model["kind"] == "mlp" and not parser.has_option("model", "hidden"):
         raise ConfigError("[model] mlp requires 'hidden'")
+    if model["kind"] == "softmax" and parser.has_option("model", "hidden"):
+        raise ConfigError("[model] softmax takes no 'hidden'")
 
     training = _section(parser, "training")
     training.setdefault("sigma1", training.pop("sigma1_ratio") * training["sigma2"])
@@ -195,8 +197,10 @@ def load_config(path) -> dict:
         raise ConfigError("[training] clip must be positive")
     if training["epochs"] < 1 or training["batch_size"] < 1:
         raise ConfigError("[training] epochs and batch_size must be >= 1")
-    return {"dataset": dataset, "model": model, "training": training,
-            "report": _section(parser, "report")}
+    report = _section(parser, "report")
+    if not 0.0 <= report["tau"] < math.inf:
+        raise ConfigError("[report] tau must be finite and non-negative")
+    return {"dataset": dataset, "model": model, "training": training, "report": report}
 
 
 @contextlib.contextmanager

@@ -11,13 +11,15 @@ squared norm of the weight matrices (biases are not regularized). Because
 the penalty is charged to every sample, the mean of per-sample gradients
 equals the gradient of the regularized mean objective.
 
-Per-sample gradients are streamed: ``GradStream`` runs one forward/backward
-pass per batch, keeping each layer's inputs and output deltas, and builds
-the gradient rows from them a block at a time in one reused buffer of at
-most BLOCK_BYTES. The norms and the factor-weighted sum are read from the
-blocks, so no b x param_count matrix is ever held. ``per_sample_grads``
-materializes that matrix with the same fill routine; it is the reference
-the stream is tested against, bit for bit.
+Per-sample gradients are never built in training. ``GradStream`` runs one
+forward/backward pass per batch and keeps each layer's factors: its inputs
+A, its output deltas D and its L2 term lW. Sample i's gradient for a weight
+matrix is the outer product a_i d_i^T plus lW, so its squared norm is
+|a_i|^2 |d_i|^2 + 2 a_i^T (lW) d_i + |lW|^2 (the "ghost norm"), and a
+factor-weighted sum over the batch is A^T (f * D) + lW sum(f). Both cost
+about one forward pass instead of b x param_count values.
+``per_sample_grads`` materializes the b x param_count matrix from the same
+factors; it is the reference the stream is tested against.
 
 All arithmetic is 64-bit; logits go through a max-subtracted log-sum-exp so
 extreme values neither overflow nor lose the probability normalization.
@@ -38,9 +40,6 @@ MLP = "mlp"
 
 _PARAMS_HEADER = struct.Struct("<4Id")
 _KIND_CODES = {SOFTMAX: 0, MLP: 1}
-
-# bytes of gradient rows one streamed block may hold
-BLOCK_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -172,117 +171,96 @@ def per_sample_losses(spec: ModelSpec, params: np.ndarray, batch) -> np.ndarray:
 
 
 def _layer_factors(spec: ModelSpec, params: np.ndarray, batch):
-    """One forward/backward pass: the losses and each segment's factors.
+    """One forward/backward pass: losses, predictions and each segment's factors.
 
-    Segments come in parameter order as ``(inputs, deltas, penalty)``. Row i
-    of a weight segment is the outer product of ``inputs[i]`` and
-    ``deltas[i]`` plus ``penalty``, the L2 term (None when l2 is 0); row i
-    of a bias segment (``inputs`` None) is ``deltas[i]``.
+    Predictions are the argmax of the class probabilities, exactly as from
+    ``forward``. Segments come in parameter order as ``(inputs, deltas,
+    penalty)``. Row i of a weight segment is the outer product of
+    ``inputs[i]`` and ``deltas[i]`` plus ``penalty``, the L2 term shaped
+    like the weight matrix (None when l2 is 0); row i of a bias segment
+    (``inputs`` None) is ``deltas[i]``.
     """
     x = np.asarray(batch.features, dtype=np.float64)
     y = np.asarray(batch.labels, dtype=np.int64)
     logits, z1, a1 = _logits(spec, params, x)
     losses = _sample_losses(spec, params, logits, y)
     delta_out = _softmax(logits)
+    predictions = np.argmax(delta_out, axis=1)
     delta_out[np.arange(y.shape[0]), y] -= 1.0
 
     def penalty(w):
-        return spec.l2 * w.ravel() if spec.l2 else None
+        return spec.l2 * w if spec.l2 else None
 
     if spec.kind == SOFTMAX:
         w, _ = _unpack(spec, params)
-        return losses, ((x, delta_out, penalty(w)), (None, delta_out, None))
+        return losses, predictions, ((x, delta_out, penalty(w)), (None, delta_out, None))
     w1, _, w2, _ = _unpack(spec, params)
     delta_hidden = (delta_out @ w2.T) * (z1 > 0.0)
-    return losses, ((x, delta_hidden, penalty(w1)), (None, delta_hidden, None),
-                    (a1, delta_out, penalty(w2)), (None, delta_out, None))
+    return losses, predictions, ((x, delta_hidden, penalty(w1)), (None, delta_hidden, None),
+                                 (a1, delta_out, penalty(w2)), (None, delta_out, None))
 
 
-def _fill(segments, start: int, stop: int, out: np.ndarray) -> None:
-    """Write the gradient rows start..stop-1 of a batch into ``out``."""
-    off = 0
-    for inputs, deltas, penalty in segments:
-        d = deltas[start:stop]
-        if inputs is None:
-            out[:, off: off + d.shape[1]] = d
-            off += d.shape[1]
-            continue
-        a = inputs[start:stop]
-        block = out[:, off: off + a.shape[1] * d.shape[1]]
-        np.einsum("bi,bj->bij", a, d, out=block.reshape(-1, a.shape[1], d.shape[1]))
-        if penalty is not None:
-            block += penalty
-        off += block.shape[1]
-
-
-def block_rows(spec: ModelSpec) -> int:
-    """Gradient rows per streamed block: as many as fit in BLOCK_BYTES."""
-    return max(1, BLOCK_BYTES // (8 * spec.param_count))
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("bi,bi->b", u, v)
 
 
 class GradStream:
-    """Per-sample gradients of one batch, made a block of rows at a time.
+    """Per-sample gradient norms and weighted sums of one batch, from its
+    layer factors, without building any gradient row.
 
-    Construction runs the batch's forward/backward pass once, then fills
-    its gradient rows, at most ``block_rows(spec)`` at a time, into one
-    reused buffer to read their norms. ``weighted_sum`` fills the blocks
-    again to sum the rows. Memory is bounded by the block, not the batch.
+    Construction runs the batch's forward/backward pass once and sums each
+    segment's squared row norms: |a_i|^2 |d_i|^2 + 2 a_i^T (lW) d_i + |lW|^2
+    for a weight segment, |d_i|^2 for a bias. The sum is clamped at 0
+    before the square root, because the L2 cross term can round it just
+    below; NaN and inf pass through. Memory is a few layer-sized arrays.
 
     Attributes:
       norms, losses: per-sample gradient norms and regularized losses.
+      predictions: each row's predicted class, as from ``forward``.
       rows: the batch size.
     """
 
     def __init__(self, spec: ModelSpec, params: np.ndarray, batch):
-        self.losses, self._segments = _layer_factors(spec, params, batch)
+        self.losses, self.predictions, self._segments = _layer_factors(spec, params, batch)
         self.rows = self.losses.shape[0]
-        k = block_rows(spec)
-        self._blocks = [(start, min(start + k, self.rows))
-                        for start in range(0, self.rows, k)]
-        # with several blocks, buffer row 0 carries the running total
-        self._carry = int(len(self._blocks) > 1)
-        self._buffer = np.empty((min(k, self.rows) + self._carry, spec.param_count))
-        self._held = None
-        self.norms = np.empty(self.rows)
-        # in reverse, so that the buffer ends up holding the block the sum starts with
-        for start, stop in reversed(self._blocks):
-            self.norms[start:stop] = np.linalg.norm(self._block(start, stop), axis=1)
-
-    def _block(self, start: int, stop: int) -> np.ndarray:
-        """The buffer rows holding gradient rows start..stop-1, filled if needed."""
-        rows = self._buffer[self._carry: self._carry + stop - start]
-        if self._held != start:
-            _fill(self._segments, start, stop, rows)
-            self._held = start
-        return rows
+        squares = np.zeros(self.rows)
+        for inputs, deltas, penalty in self._segments:
+            row_squares = _row_dots(deltas, deltas)
+            if inputs is not None:
+                row_squares *= _row_dots(inputs, inputs)
+                if penalty is not None:
+                    row_squares += 2.0 * _row_dots(inputs @ penalty, deltas)
+                    row_squares += np.vdot(penalty, penalty)
+            squares += row_squares
+        self.norms = np.sqrt(np.maximum(squares, 0.0))
 
     def weighted_sum(self, factors: np.ndarray | None = None) -> np.ndarray:
-        """Sum of the rows, row i scaled by ``factors[i]`` (unscaled for None).
+        """Sum of the gradient rows, row i scaled by ``factors[i]``.
 
-        Equal bit for bit to ``(grads * factors[:, None]).sum(axis=0)`` on
-        the materialized matrix: that sum folds the rows in order, and each
-        block's sum here starts from the running total of the blocks before.
+        ``None`` sums them unscaled, through the same arithmetic with unit
+        factors, so it equals the sum under factors that are all 1.0 bit
+        for bit. A weight segment contributes A^T (f * D) + lW sum(f), a
+        bias segment f^T D.
         """
-        total = None
-        for start, stop in self._blocks:
-            rows = self._block(start, stop)
-            self._held = None
-            if factors is not None:
-                rows *= factors[start:stop, None]
-            if total is None:
-                total = rows.sum(axis=0)
-            else:
-                self._buffer[0] = total
-                total = self._buffer[: 1 + stop - start].sum(axis=0)
-        return total
+        f = np.ones(self.rows) if factors is None else factors
+        parts = []
+        for inputs, deltas, penalty in self._segments:
+            if inputs is None:
+                parts.append(f @ deltas)
+                continue
+            part = inputs.T @ (deltas * f[:, None])
+            if penalty is not None:
+                part += penalty * f.sum()
+            parts.append(part.ravel())
+        return np.concatenate(parts)
 
 
 def per_sample_grads(spec: ModelSpec, params: np.ndarray, batch) -> PerSampleGrads:
     """Gradient of each sample's regularized loss w.r.t. the flat params.
 
-    The materialized form of ``GradStream``: the whole batch in one block.
-    Training streams instead; this is the reference the stream is tested
-    against.
+    The materialized form of ``GradStream``, built from the same layer
+    factors. Training never calls it; it is the reference the stream's
+    norms and sums are tested against.
 
     Args:
       batch: anything with ``features`` (b x input_dim) and ``labels`` (b).
@@ -291,9 +269,17 @@ def per_sample_grads(spec: ModelSpec, params: np.ndarray, batch) -> PerSampleGra
       PerSampleGrads with a (b x param_count) gradient matrix, row norms,
       and per-sample losses.
     """
-    losses, segments = _layer_factors(spec, params, batch)
-    grads = np.empty((losses.shape[0], spec.param_count))
-    _fill(segments, 0, grads.shape[0], grads)
+    losses, _, segments = _layer_factors(spec, params, batch)
+    columns = []
+    for inputs, deltas, penalty in segments:
+        if inputs is None:
+            columns.append(deltas)
+            continue
+        rows = np.einsum("bi,bj->bij", inputs, deltas)
+        if penalty is not None:
+            rows += penalty
+        columns.append(rows.reshape(rows.shape[0], -1))
+    grads = np.concatenate(columns, axis=1)
     return PerSampleGrads(grads, np.linalg.norm(grads, axis=1), losses)
 
 

@@ -29,8 +29,9 @@ import numpy as np
 from . import metrics, privacy
 from .clipping import ClipOutcome, ClipStrategy, GroupClipReport, NonPrivate, apply_strategy
 from .errors import NumericError
-from .model import GradStream, ModelSpec, forward as model_forward, init_params
-from .model import per_sample_grads  # noqa: F401  (perfbench/spans.py probes this binding)
+from .model import GradStream, ModelSpec, init_params
+# perfbench/spans.py probes these bindings
+from .model import forward as model_forward, per_sample_grads  # noqa: F401
 from .privacy import MechanismEvent, PrivacyLedger, RdpCurve
 
 INV_SQRT_TOTAL = "inv_sqrt_total"
@@ -63,8 +64,9 @@ class TrainConfig:
             raise ValueError("delta must be in (0, 1]")
         if self.budget_target is not None and not self.budget_target > 0:
             raise ValueError("budget_target must be positive")
-        if isinstance(self.lr, str) and self.lr != INV_SQRT_TOTAL:
-            raise ValueError(f"lr must be a number or '{INV_SQRT_TOTAL}'")
+        if self.lr != INV_SQRT_TOTAL and (isinstance(self.lr, str)
+                                          or not 0.0 < self.lr < math.inf):
+            raise ValueError(f"lr must be a finite positive number or '{INV_SQRT_TOTAL}'")
 
 
 @dataclass
@@ -181,8 +183,7 @@ def group_train_stats(spec: ModelSpec, params: np.ndarray, data):
         idx = np.arange(start, min(start + STATS_CHUNK_ROWS, data.n))
         batch = data.take(idx)
         grads = GradStream(spec, params, batch)
-        preds = np.argmax(model_forward(spec, params, batch.features), axis=1)
-        hits = (preds == batch.labels).astype(np.float64)
+        hits = (grads.predictions == batch.labels).astype(np.float64)
         loss_sum += np.bincount(batch.groups, weights=grads.losses, minlength=num_groups)
         norm_sum += np.bincount(batch.groups, weights=grads.norms, minlength=num_groups)
         correct += np.bincount(batch.groups, weights=hits, minlength=num_groups)

@@ -143,6 +143,12 @@ OUT_OF_RANGE = [
     ("train", [("training", "clip", "nan")]),
     ("train", [("training", "batch_size", "200")]),  # 128 training rows
     ("train", [("training", "budget_target", "-5")]),
+    ("train", [("training", "lr", "-5")]),
+    ("train", [("training", "lr", "0")]),
+    ("train", [("training", "lr", "inf")]),
+    ("train", [("report", "tau", "-1")]),
+    ("train", [("report", "tau", "inf")]),
+    ("train", [("model", "hidden", "7")]),  # the model is a softmax
     ("prepare-data", [("dataset", "n_major", "0")]),
 ]
 

@@ -177,6 +177,7 @@ MUTATIONS = [
     ("minimal", "dataset", "images", "x", "unknown key 'images' in [dataset]"),
     ("minimal", "model", "kind", "cnn", "[model] kind must be softmax or mlp, got 'cnn'"),
     ("dpsgd", "model", "hidden", None, "[model] mlp requires 'hidden'"),
+    ("minimal", "model", "hidden", "7", "[model] softmax takes no 'hidden'"),
     ("minimal", "model", "l2", "", "[model] l2: expected a number, got ''"),
     ("minimal", "model", "dropout", "0.1", "unknown key 'dropout' in [model]"),
     ("minimal", "training", "strategy", "dpsgd2",
@@ -202,6 +203,7 @@ MUTATIONS = [
     ("minimal", "training", "warmup", "5", "unknown key 'warmup' in [training]"),
     ("minimal", "report", "out_dir", None, "missing key 'out_dir' in [report]"),
     ("idx", "report", "tau", "small", "[report] tau: expected a number, got 'small'"),
+    ("minimal", "report", "tau", "-1", "[report] tau must be finite and non-negative"),
     ("census", "report", "positive_class", "yes",
      "[report] positive_class: expected an integer, got 'yes'"),
     ("minimal", "report", "plot", "1", "unknown key 'plot' in [report]"),

@@ -8,7 +8,8 @@ from fairdp.clipping import (GroupAdaptive, NaiveReweight, NonPrivate, Uniform,
                              adaptive_bounds, group_counts, noise_counts)
 from fairdp.dataio import Batch, Dataset, synth_two_group, split
 from fairdp.errors import NumericError
-from fairdp.model import GradStream, ModelSpec, init_params, per_sample_grads
+from fairdp.model import (GradStream, ModelSpec, init_params, per_sample_grads,
+                          per_sample_losses)
 from fairdp.privacy import MechanismEvent, PrivacyLedger, compose
 from fairdp.trainer import (TrainConfig, dp_step, group_train_stats,
                             private_mean_gradient, resolve_learning_rate,
@@ -84,7 +85,7 @@ class TestDpStep:
 
     def assert_noiseless_update(self, strategy, batch, bounds, weights):
         """The zero-noise update equals the mean of rows scaled by
-        min(1, C_g/norm) * w_g, bit for bit."""
+        min(1, C_g/norm) * w_g, to the rounding of another summation order."""
         new_params, _ = dp_step(self.spec, self.params, batch, strategy, 0.0, 1.0, 0.1,
                                 np.random.default_rng(0), np.random.default_rng(1),
                                 PrivacyLedger(), 2)
@@ -92,7 +93,7 @@ class TestDpStep:
         g = batch.groups
         factors = np.minimum(1.0, bounds[g] / grads.norms) * weights[g]
         expected = (grads.grads * factors[:, None]).sum(0) / g.shape[0]
-        np.testing.assert_array_equal(self.params - new_params, expected)
+        np.testing.assert_allclose(self.params - new_params, expected, rtol=1e-12)
 
     def test_noiseless_naive_update(self):
         batch = self.two_group_batch()
@@ -132,6 +133,43 @@ class TestDpStep:
             dp_step(self.spec, self.params, bad, Uniform(1.0), 0.0, 0.1, 0.1,
                     np.random.default_rng(0), np.random.default_rng(1),
                     PrivacyLedger(), 2)
+
+    def test_overflowing_gradient_norm_aborts(self):
+        # at the zero initial weights the loss stays finite; only the
+        # squared norm of this row overflows
+        bad = Batch(np.array([[1e200, 0.0, 0.0, 0.0]]), np.array([0]), np.array([0]))
+        assert np.isfinite(per_sample_losses(self.spec, self.params, bad)).all()
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            dp_step(self.spec, self.params, bad, Uniform(1.0), 0.0, 0.1, 0.1,
+                    np.random.default_rng(0), np.random.default_rng(1),
+                    PrivacyLedger(), 2)
+
+
+class TestGhostNormSensitivity:
+    """Factors computed from the factored norms keep every materialized
+    gradient row within its group's C_g * w_g, so the sensitivity the noise
+    is scaled to bounds the rows actually summed."""
+
+    @pytest.mark.parametrize("strategy", [
+        Uniform(0.3), NaiveReweight(0.3, 2.0), GroupAdaptive(0.3, 2.0)],
+        ids=["dpsgd", "naive", "dpsgd-f"])
+    def test_scaled_oracle_rows_within_bound(self, strategy):
+        spec = ModelSpec.mlp(6, 8, 3, l2=0.05)
+        rng = np.random.default_rng(8)
+        for seed in range(20):
+            params = init_params(spec, seed) + 0.3 * rng.standard_normal(spec.param_count)
+            batch = Batch(3.0 * rng.standard_normal((40, 6)), rng.integers(0, 3, 40),
+                          rng.integers(0, 2, 40))
+            _, outcome = dp_step(spec, params, batch, strategy, 0.0, 0.1, 0.1,
+                                 np.random.default_rng(seed), np.random.default_rng(seed + 1),
+                                 PrivacyLedger(), 2)
+            limits = outcome.report.bounds  # C_g; for naive the weights w_g
+            if isinstance(strategy, NaiveReweight):
+                limits = limits * strategy.base_bound
+            rows = per_sample_grads(spec, params, batch).grads * outcome.factors[:, None]
+            norms = np.linalg.norm(rows, axis=1)
+            assert np.all(norms <= limits[batch.groups] * (1 + 1e-9))
+            assert np.nanmax(outcome.report.clipped_fraction) > 0
 
 
 class TestReductions:
