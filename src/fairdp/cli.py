@@ -437,12 +437,12 @@ def cmd_accountant(args) -> int:
         raise ConfigError("need 1 <= batch_size <= n")
     if args.epochs < 1:
         raise ConfigError("epochs must be >= 1")
-    if not args.sigma > 0:
-        raise ConfigError("sigma must be positive")
+    if not 0.0 < args.sigma < math.inf:
+        raise ConfigError("sigma must be positive and finite")
     if not 0.0 < args.delta <= 1.0:
         raise ConfigError("delta must be in (0, 1]")
-    if args.sigma1 is not None and not args.sigma1 > 0:
-        raise ConfigError("sigma1 must be positive when given")
+    if args.sigma1 is not None and not 0.0 < args.sigma1 < math.inf:
+        raise ConfigError("sigma1 must be positive and finite when given")
     iterations = args.epochs * (args.n // args.batch_size)
     q = args.batch_size / args.n
     ledger = PrivacyLedger([MechanismEvent(args.sigma, q, iterations)])

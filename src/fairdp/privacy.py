@@ -2,17 +2,17 @@
 
 Each training step that touches data through a Gaussian mechanism is
 recorded as a ``MechanismEvent`` (noise multiplier, sampling rate, step
-count) in a ``PrivacyLedger``. ``compose`` turns the ledger into an RDP
-curve over a grid of orders by summing per-event curves linearly, and
-``to_epsilon`` converts the curve into an (epsilon, delta) guarantee by
-minimizing over orders.
+count) in a ``PrivacyLedger``. ``compose`` coalesces identical events,
+evaluates each one's RDP curve over the whole grid of orders in one call,
+and sums the curves linearly; ``to_epsilon`` converts the curve into an
+(epsilon, delta) guarantee by minimizing over orders.
 
-For a sampling rate below one, the implementation evaluates the standard
-integer-order log-moment bound for the subsampled Gaussian mechanism: a
-binomial sum computed entirely in log space, so small noise multipliers
-and large orders do not overflow. Batches drawn without replacement are
-accounted at rate q = batch_size / n, the usual Poisson-style
-approximation; reports carry the tag in ``ACCOUNTING_ASSUMPTION``.
+For a sampling rate below one, the curve is the integer-order log-moment
+bound of the subsampled Gaussian (Abadi et al. 2016; Mironov, Talwar &
+Zhang 2019): a binomial sum folded in log space, so small noise multipliers
+and large orders do not overflow, clamped at 0 where it rounds below.
+Batches drawn without replacement are accounted at rate q = batch_size / n,
+the usual Poisson-style approximation, tagged ``ACCOUNTING_ASSUMPTION``.
 """
 
 from __future__ import annotations
@@ -86,37 +86,38 @@ class RdpCurve:
         object.__setattr__(self, "eps_rdp", eps)
 
 
-def rdp_full_gaussian(sigma: float, order: float) -> float:
-    """Closed-form RDP of the Gaussian mechanism at unit sensitivity."""
+def rdp_full_gaussian(sigma: float, order):
+    """Closed-form RDP order / (2 sigma^2) of the Gaussian mechanism at unit
+    sensitivity: a float for one order, an array for a sequence of them."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    if not order > 1:
+    orders = np.asarray(order, dtype=np.float64)
+    if not np.all(orders > 1):
         raise ValueError("order must be > 1")
-    return order / (2.0 * sigma * sigma)
+    eps = orders / (2.0 * sigma * sigma)
+    return eps if orders.ndim else float(eps)
 
 
-def _log_add(log_x: float, log_y: float) -> float:
-    a, b = min(log_x, log_y), max(log_x, log_y)
-    if a == -math.inf:
-        return b
-    return b + math.log1p(math.exp(a - b))
-
-
-def _log_binom(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-def rdp_subsampled_gaussian(q: float, sigma: float, order) -> float:
+def rdp_subsampled_gaussian(q: float, sigma: float, order):
     """Integer-order RDP bound for the subsampled Gaussian mechanism.
 
-    Evaluates (1/(order-1)) * log( sum_{j=0..order} C(order, j)
-    (1-q)^(order-j) q^j exp(j(j-1)/(2 sigma^2)) ) in log space.
+    Evaluates (1/(a-1)) * log( sum_{j=0..a} C(a, j) (1-q)^(a-j) q^j
+    exp(j(j-1)/(2 sigma^2)) ) at every order a of the grid at once. All
+    orders' log-space terms sit in one flat array, and
+    ``np.logaddexp.reduceat`` folds each order's terms left to right from
+    j = 0: the exp/log1p calls of a scalar pairwise loop, so each value has
+    that loop's bits. The sum is >= 1, so a value that rounds below 0
+    (large sigma, small q) is clamped to 0.
 
     Args:
       q: sampling rate, strictly between 0 and 1 (use rdp_full_gaussian
         for q = 1).
       sigma: noise multiplier, positive.
-      order: integer order >= 2 (integral floats accepted).
+      order: an integer order >= 2 (integral floats accepted), or a
+        sequence of them.
+
+    Returns:
+      A float for a single order, an array for a sequence.
 
     Raises:
       ValueError: out-of-range q or sigma, or a non-integer order.
@@ -125,31 +126,29 @@ def rdp_subsampled_gaussian(q: float, sigma: float, order) -> float:
         raise ValueError("q must be in (0, 1); use rdp_full_gaussian for q = 1")
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    if isinstance(order, float) and not order.is_integer():
+    orders = np.asarray(order, dtype=np.float64)
+    if not np.all(np.isfinite(orders) & (orders == np.floor(orders))):
         raise ValueError(f"order must be an integer, got {order}")
-    alpha = int(order)
-    if alpha < 2:
+    if not np.all(orders >= 2):
         raise ValueError("order must be >= 2")
+    alphas = np.atleast_1d(orders).astype(np.int64)
+    sizes = alphas + 1
+    starts = np.cumsum(sizes) - sizes
+    a = np.repeat(alphas, sizes)
+    j = np.arange(a.size) - np.repeat(starts, sizes)
+    lg = np.array([math.lgamma(k + 1) for k in range(alphas.max() + 1)])
     log_q, log_1mq = math.log(q), math.log1p(-q)
-    log_total = -math.inf
-    for j in range(alpha + 1):
-        term = (_log_binom(alpha, j) + j * log_q + (alpha - j) * log_1mq
-                + j * (j - 1) / (2.0 * sigma * sigma))
-        log_total = _log_add(log_total, term)
-    return log_total / (alpha - 1)
-
-
-def _event_rdp(noise_multiplier: float, sampling_rate: float, order) -> float:
-    if sampling_rate == 1.0:
-        return rdp_full_gaussian(noise_multiplier, order)
-    return rdp_subsampled_gaussian(sampling_rate, noise_multiplier, order)
+    terms = (lg[a] - lg[j] - lg[a - j] + j * log_q + (a - j) * log_1mq
+             + j * (j - 1) / (2.0 * sigma * sigma))
+    eps = np.maximum(np.logaddexp.reduceat(terms, starts) / (alphas - 1), 0.0)
+    return eps if orders.ndim else float(eps[0])
 
 
 def compose(ledger: PrivacyLedger, orders=DEFAULT_ORDERS) -> RdpCurve:
     """Linear composition of the ledger's events into one RDP curve.
 
-    Events sharing (noise multiplier, sampling rate) are coalesced before
-    evaluation, so per-step ledgers stay cheap to compose.
+    Events sharing (noise multiplier, sampling rate) are coalesced, and each
+    coalesced event's curve is evaluated over the whole grid in one call.
     """
     if not ledger.events:
         raise ValueError("cannot compose an empty ledger")
@@ -160,7 +159,8 @@ def compose(ledger: PrivacyLedger, orders=DEFAULT_ORDERS) -> RdpCurve:
     orders_arr = np.asarray(orders, dtype=np.float64)
     eps = np.zeros_like(orders_arr)
     for (sigma, q), steps in totals.items():
-        eps += steps * np.array([_event_rdp(sigma, q, a) for a in orders])
+        eps += steps * (rdp_full_gaussian(sigma, orders_arr) if q == 1.0
+                        else rdp_subsampled_gaussian(q, sigma, orders_arr))
     return RdpCurve(orders_arr, eps)
 
 

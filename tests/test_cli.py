@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -246,6 +247,20 @@ class TestTrainCommand:
         assert lines[0].startswith("epoch,group,mean_loss")
         assert len(lines) == 1 + 2 * 2  # header + 2 epochs x 2 groups
 
+    def test_huge_sigma2_trains(self, tmp_path, capsys):
+        # the shipped run's per-step bound used to round below 0 at this
+        # noise and crash the run
+        text = (Path(__file__).resolve().parent.parent / "configs" / "synth-dpsgd.ini").read_text()
+        for key, value in (("sigma2", "1e8"), ("epochs", "1")):
+            text = mutate(text, "training", key, value)
+        text = mutate(text, "report", "out_dir", tmp_path / "out")
+        path = tmp_path / "huge.ini"
+        path.write_text(text, encoding="utf-8")
+        assert main(["train", "--config", str(path)]) == 0
+        run = json.loads((tmp_path / "out" / "dpsgd" / "run.json").read_text())
+        assert run["iterations_executed"] == 3500 // 256
+        assert 0.0 < run["epsilon"] < 0.1
+
 
 class TestAccountantCommand:
     def test_json_output(self, capsys):
@@ -272,6 +287,73 @@ class TestAccountantCommand:
                      "--sigma", "1.0", "--epochs", "0", "--delta", "1e-6"])
         assert code == 2
         assert "epochs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--sigma", "inf"), ("--sigma", "nan"),
+                                            ("--sigma1", "inf"), ("--sigma1", "nan")])
+    def test_nonfinite_sigma_rejected(self, flag, value, capsys):
+        argv = ["accountant", "--n", "1000", "--batch-size", "100", "--sigma", "1.0",
+                "--epochs", "1", "--delta", "1e-6"]
+        if flag == "--sigma":
+            argv[argv.index("--sigma") + 1] = value
+        else:
+            argv += [flag, value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and flag.lstrip("-") in err
+
+    def test_huge_sigma_gives_small_epsilon(self, capsys):
+        # the bound used to round below 0 here and crash the run
+        code = main(["accountant", "--n", "60000", "--batch-size", "256",
+                     "--sigma", "1e8", "--epochs", "1", "--delta", "1e-5"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert 0.0 < out["epsilon"] < 0.03
+        assert out["noise_multiplier"] == 1e8
+
+
+def reference_epsilon(n, batch_size, sigma, epochs, delta, sigma1=None):
+    """The integer-order subsampled-Gaussian RDP bound written out anew, with
+    exact binomials and a max-shifted fsum, composed over the iterations and
+    over the count-noise mechanism when ``sigma1`` is given."""
+    q = batch_size / n
+    iterations = epochs * (n // batch_size)
+    best = math.inf
+    for a in tuple(range(2, 65)) + (80, 128, 256, 512):
+        rdp = 0.0
+        for s in [sigma] + ([sigma1] if sigma1 is not None else []):
+            logs = [math.log(math.comb(a, j)) + j * math.log(q) + (a - j) * math.log1p(-q)
+                    + j * (j - 1) / (2.0 * s * s) for j in range(a + 1)]
+            top = max(logs)
+            rdp += (top + math.log(math.fsum(math.exp(t - top) for t in logs))) / (a - 1)
+        best = min(best, iterations * rdp + math.log(1.0 / delta) / (a - 1))
+    return best
+
+
+class TestAccountantReference:
+    """``fairdp accountant`` rows against an independent reference."""
+
+    ROWS = [  # n, batch size, sigma, epochs, delta, sigma1
+        (54649, 256, 0.8, 60, 1e-6, None),
+        (60000, 256, 0.8, 60, 1e-6, None),
+        (36178, 256, 1.0, 20, 1e-6, None),
+        (12000, 64, 1.37, 30, 1e-5, None),
+        (21000, 128, 0.61, 1, 1e-6, 2.5),
+        (33000, 512, 1.95, 100, 1e-5, 19.8),
+        (47000, 256, 0.9, 10, 1e-6, 7.25),
+        (15000, 64, 1.2, 60, 1e-5, 3.0),
+    ]
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_epsilon_matches_reference(self, row, capsys):
+        n, b, sigma, epochs, delta, sigma1 = row
+        argv = ["accountant", "--n", str(n), "--batch-size", str(b), "--sigma", repr(sigma),
+                "--epochs", str(epochs), "--delta", repr(delta)]
+        if sigma1 is not None:
+            argv += ["--sigma1", repr(sigma1)]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["iterations"] == epochs * (n // b)
+        assert math.isclose(out["epsilon"], reference_epsilon(*row), rel_tol=1e-9)
 
 
 class TestAnalyzeCommand:

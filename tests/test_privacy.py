@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -24,6 +25,75 @@ class TestFullGaussian:
             rdp_full_gaussian(0.0, 2)
         with pytest.raises(ValueError):
             rdp_full_gaussian(1.0, 1.0)
+
+
+def _log_add(log_x, log_y):
+    a, b = min(log_x, log_y), max(log_x, log_y)
+    if a == -math.inf:
+        return b
+    return b + math.log1p(math.exp(a - b))
+
+
+def scalar_loop_log_sum(q, sigma, alpha):
+    """The per-order pairwise log-space loop the grid evaluation replaced."""
+    log_q, log_1mq = math.log(q), math.log1p(-q)
+    log_total = -math.inf
+    for j in range(alpha + 1):
+        log_binom = math.lgamma(alpha + 1) - math.lgamma(j + 1) - math.lgamma(alpha - j + 1)
+        term = (log_binom + j * log_q + (alpha - j) * log_1mq
+                + j * (j - 1) / (2.0 * sigma * sigma))
+        log_total = _log_add(log_total, term)
+    return log_total / (alpha - 1)
+
+
+def scalar_loop_rdp(q, sigma, alpha):
+    return max(scalar_loop_log_sum(q, sigma, alpha), 0.0)
+
+
+class TestGridEvaluation:
+    """The whole-grid evaluation has the bits of the scalar loop."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(2020)
+        fixed = [(q, s) for q in (1e-9, 0.999) for s in (0.1, 1e3)]
+        drawn = [(10 ** rng.uniform(-9, math.log10(0.999)), 10 ** rng.uniform(-1, 4))
+                 for _ in range(40)]
+        return fixed + drawn
+
+    @pytest.mark.parametrize("orders", [DEFAULT_ORDERS, (2, 7, 1000)])
+    def test_bit_equal_to_scalar_loop(self, orders):
+        for q, sigma in self.cases():
+            expected = np.array([scalar_loop_rdp(q, sigma, a) for a in orders])
+            got = rdp_subsampled_gaussian(q, sigma, orders)
+            assert np.array_equal(got, expected), (q, sigma)
+
+    def test_single_order_is_float_sequence_is_array(self):
+        one = rdp_subsampled_gaussian(0.01, 1.1, 8)
+        assert type(one) is float
+        assert one == scalar_loop_rdp(0.01, 1.1, 8)
+        many = rdp_subsampled_gaussian(0.01, 1.1, [8])
+        assert isinstance(many, np.ndarray) and many.shape == (1,)
+        assert many[0] == one
+        assert type(rdp_full_gaussian(2.0, 8)) is float
+        np.testing.assert_array_equal(rdp_full_gaussian(2.0, (2, 8)), [0.25, 1.0])
+
+    @pytest.mark.parametrize("orders", [(2, 3.5, 8), (2, 1, 8), (0, 4), (2, math.inf),
+                                        (2, math.nan)])
+    def test_bad_order_in_sequence_rejected(self, orders):
+        with pytest.raises(ValueError):
+            rdp_subsampled_gaussian(0.01, 1.0, orders)
+
+    def test_large_sigma_clamped_at_zero(self):
+        # the sum is >= 1, but its log-space fold rounds below 0 at large
+        # sigma and small q; the bound is then 0
+        q = 256 / 60000
+        assert min(scalar_loop_log_sum(q, 1e8, a) for a in DEFAULT_ORDERS) < 0.0
+        curve = rdp_subsampled_gaussian(q, 1e8, DEFAULT_ORDERS)
+        assert curve.min() >= 0.0
+        assert rdp_subsampled_gaussian(q, 1e8, 2) >= 0.0
+        eps, _ = to_epsilon(compose(PrivacyLedger([MechanismEvent(1e8, q, 234)])), 1e-5)
+        assert 0.0 < eps < 0.03
 
 
 class TestSubsampledGaussian:
@@ -99,6 +169,13 @@ class TestCompose:
     def test_full_batch_event_uses_closed_form(self):
         curve = compose(PrivacyLedger([MechanismEvent(2.0, 1.0, 1)]), orders=[8])
         assert curve.eps_rdp[0] == 1.0
+
+    def test_full_batch_event_over_grid(self):
+        events = [MechanismEvent(2.0, 1.0, 3), MechanismEvent(1.5, 0.02, 5)]
+        curve = compose(PrivacyLedger(events))
+        expected = np.array([3 * (a / (2.0 * 2.0 * 2.0)) + 5 * scalar_loop_rdp(0.02, 1.5, a)
+                             for a in DEFAULT_ORDERS])
+        assert np.array_equal(curve.eps_rdp, expected)
 
     def test_empty_ledger_rejected(self):
         with pytest.raises(ValueError):
