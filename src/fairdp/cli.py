@@ -459,6 +459,10 @@ def cmd_accountant(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if not 0.0 < args.clip < math.inf:
+        raise ConfigError("clip must be positive and finite")
+    if not 0.0 < args.eps < math.inf:
+        raise ConfigError("eps must be positive and finite")
     norms, groups = [], []
     try:
         fh = open(args.norms_csv, newline="", encoding="utf-8")
@@ -475,10 +479,17 @@ def cmd_analyze(args) -> int:
                 groups.append(int(row["group"]))
             except (TypeError, ValueError):
                 raise DataError(f"line {i}: bad norm/group values") from None
+            if not 0.0 <= norms[-1] < math.inf:
+                raise DataError(f"line {i}: norm must be finite and non-negative")
+            if groups[-1] < 0:
+                raise DataError(f"line {i}: group must be non-negative")
     if not norms:
         raise DataError("norms CSV has no data rows")
-    bounds = analysis.cost_bounds(np.asarray(norms), np.asarray(groups),
-                                  args.clip, args.eps)
+    try:
+        bounds = analysis.cost_bounds(np.asarray(norms), np.asarray(groups),
+                                      args.clip, args.eps)
+    except ValueError as exc:  # a group with no rows; clip and eps are checked above
+        raise DataError(str(exc)) from None
     pooled = None
     if len(norms) * args.eps > 1.0:
         pooled = analysis.optimal_clip(np.asarray(norms), len(norms), args.eps)

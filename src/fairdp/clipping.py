@@ -80,34 +80,6 @@ ClipStrategy = Uniform | NaiveReweight | GroupAdaptive
 
 
 @dataclass(frozen=True)
-class GroupCounts:
-    """Exact per-group counts of rows above / at-or-below the base bound."""
-
-    above: np.ndarray
-    at_or_below: np.ndarray
-
-
-@dataclass(frozen=True)
-class NoisedGroupCounts:
-    """Gaussian-noised counts plus their clamped derived quantities."""
-
-    above: np.ndarray
-    at_or_below: np.ndarray
-
-    @property
-    def above_clamped(self) -> np.ndarray:
-        return np.maximum(self.above, 0.0)
-
-    @property
-    def sizes_clamped(self) -> np.ndarray:
-        return np.maximum(self.above + self.at_or_below, 1.0)
-
-    @property
-    def total_above(self) -> float:
-        return float(self.above_clamped.sum())
-
-
-@dataclass(frozen=True)
 class GroupClipReport:
     """Per-group logging snapshot for one clipped batch.
 
@@ -162,47 +134,23 @@ def _clip_fraction(norms: np.ndarray, groups: np.ndarray, bounds: np.ndarray,
     return out
 
 
-def group_counts(norms: np.ndarray, groups: np.ndarray, bound: float,
-                 num_groups: int) -> GroupCounts:
-    """Exact counts per group; a tie at the bound counts as not clipped."""
-    if not bound > 0:
-        raise ValueError("bound must be positive")
-    groups = np.asarray(groups)
-    over = norms > bound
-    above = np.bincount(groups[over], minlength=num_groups)
-    at_or_below = np.bincount(groups[~over], minlength=num_groups)
-    return GroupCounts(above, at_or_below)
-
-
-def noise_counts(counts: GroupCounts, noise_std: float,
-                 rng: np.random.Generator) -> NoisedGroupCounts:
-    """Add independent Gaussian noise to every count.
-
-    Draw order is fixed: above-counts for groups 0..K-1, then at-or-below
-    counts. A zero noise_std returns the raw counts exactly.
-    """
-    if noise_std < 0:
-        raise ValueError("noise_std must be non-negative")
-    k = counts.above.shape[0]
-    noise = rng.normal(0.0, noise_std, size=2 * k)
-    return NoisedGroupCounts(counts.above + noise[:k], counts.at_or_below + noise[k:])
-
-
-def adaptive_bounds(noised: NoisedGroupCounts, base_bound: float,
-                    batch_size: int) -> np.ndarray:
+def adaptive_bounds(above_noised: np.ndarray, sizes_noised: np.ndarray,
+                    base_bound: float, batch_size: int) -> np.ndarray:
     """Per-group clip bounds grown with the group's clipped share.
 
-    bound_k = base * (1 + (above_k/size_k) / (total_above/batch)), using
-    the clamped noised quantities. With no clipping pressure anywhere
-    (total_above == 0) every bound stays at the base bound.
+    Takes the noised per-group above-bound counts and batch sizes and clamps
+    them itself: above-counts at zero, sizes at one. Then
+    bound_k = base * (1 + (above_k/size_k) / (total_above/batch)). With no
+    clipping pressure anywhere (total_above == 0) every bound stays at the
+    base bound.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
-    total = noised.total_above
-    k = noised.above.shape[0]
+    above = np.maximum(above_noised, 0.0)
+    total = float(above.sum())
     if total <= 0.0:
-        return np.full(k, base_bound)
-    share = noised.above_clamped / noised.sizes_clamped
+        return np.full(above.shape[0], base_bound)
+    share = above / np.maximum(sizes_noised, 1.0)
     return base_bound * (1.0 + share / (total / batch_size))
 
 
@@ -223,9 +171,10 @@ def apply_strategy(strategy: ClipStrategy, norms: np.ndarray,
                    rng: np.random.Generator) -> ClipOutcome:
     """Row factors, sensitivity and report for one batch's per-sample norms.
 
-    Count noise is drawn from ``rng``. Each strategy sets per-group bounds and weights; ``row_factors`` turns
-    them into the factors and the sensitivity. The report carries the
-    noised counts/sizes where the strategy produced them.
+    Count noise is drawn from ``rng``. Each strategy sets per-group bounds
+    and weights; ``row_factors`` turns them into the factors and the
+    sensitivity. The report carries the noised counts/sizes where the
+    strategy produced them.
     """
     groups = np.asarray(groups)
     batch_size = norms.shape[0]
@@ -234,11 +183,13 @@ def apply_strategy(strategy: ClipStrategy, norms: np.ndarray,
     if isinstance(strategy, Uniform):
         bounds = np.full(num_groups, strategy.bound)
     elif isinstance(strategy, GroupAdaptive):
-        counts = group_counts(norms, groups, strategy.base_bound, num_groups)
-        noised = noise_counts(counts, strategy.count_noise_std, rng)
-        bounds = adaptive_bounds(noised, strategy.base_bound, batch_size)
-        above_noised = noised.above
-        sizes_noised = noised.above + noised.at_or_below
+        over = norms > strategy.base_bound
+        noise = rng.normal(0.0, strategy.count_noise_std, size=2 * num_groups)
+        above_noised = np.bincount(groups[over], minlength=num_groups) + noise[:num_groups]
+        sizes_noised = above_noised + (np.bincount(groups[~over], minlength=num_groups)
+                                       + noise[num_groups:])
+        bounds = adaptive_bounds(above_noised, sizes_noised, strategy.base_bound,
+                                 batch_size)
     elif isinstance(strategy, NaiveReweight):
         sizes = np.bincount(groups, minlength=num_groups).astype(np.float64)
         sizes_noised = sizes + rng.normal(0.0, strategy.count_noise_std, size=num_groups)

@@ -283,18 +283,6 @@ def per_sample_grads(spec: ModelSpec, params: np.ndarray, batch) -> PerSampleGra
     return PerSampleGrads(grads, np.linalg.norm(grads, axis=1), losses)
 
 
-def accuracy(spec: ModelSpec, params: np.ndarray, data) -> float:
-    """Fraction of rows whose argmax probability matches the label.
-
-    Ties break toward the lowest class index.
-    """
-    x = np.asarray(data.features, dtype=np.float64)
-    if x.shape[0] == 0:
-        raise DataError("cannot compute accuracy of an empty dataset")
-    preds = np.argmax(forward(spec, params, x), axis=1)
-    return float(np.mean(preds == np.asarray(data.labels)))
-
-
 def save_params(path, spec: ModelSpec, params: np.ndarray) -> None:
     """Write the spec descriptor followed by the little-endian f64 values."""
     header = _PARAMS_HEADER.pack(_KIND_CODES[spec.kind], spec.input_dim,

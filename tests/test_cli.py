@@ -376,6 +376,31 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--norms-csv", str(path), "--clip", "1.0",
                      "--eps", "1.0"]) == 3
 
+    @pytest.mark.parametrize("clip, eps", [("0", "1.0"), ("nan", "1.0"), ("inf", "1.0"),
+                                           ("1.0", "-1"), ("1.0", "nan")])
+    def test_bad_clip_or_eps_is_config_error(self, tmp_path, capsys, clip, eps):
+        path = tmp_path / "norms.csv"
+        path.write_text("norm,group\n2.0,0\n0.5,1\n", encoding="utf-8")
+        assert main(["analyze", "--norms-csv", str(path), "--clip", clip,
+                     "--eps", eps]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+
+    @pytest.mark.parametrize("rows, where", [
+        ("2.0,0\n0.5,2\n", "group 1"),
+        ("nan,0\n0.5,1\n", "line 2"),
+        ("2.0,0\ninf,1\n", "line 3"),
+        ("-0.5,0\n0.5,1\n", "line 2"),
+        ("2.0,0\n0.5,-1\n1.0,1\n", "line 3"),
+    ])
+    def test_bad_rows_are_data_errors(self, tmp_path, capsys, rows, where):
+        path = tmp_path / "norms.csv"
+        path.write_text("norm,group\n" + rows, encoding="utf-8")
+        assert main(["analyze", "--norms-csv", str(path), "--clip", "1.0",
+                     "--eps", "1.0"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:") and where in err[0]
+
 
 class TestPrepareDataCommand:
     def test_writes_caches_and_summary(self, tmp_path, capsys):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from fairdp.clipping import (GroupAdaptive, GroupCounts, NaiveReweight,
-                             NonPrivate, Uniform, adaptive_bounds,
-                             apply_strategy, group_counts, naive_weights,
-                             noise_counts, row_factors)
+from fairdp.clipping import (GroupAdaptive, NaiveReweight, NonPrivate, Uniform,
+                             adaptive_bounds, apply_strategy, naive_weights,
+                             row_factors)
 
 
 def make_grads(grad_matrix):
@@ -68,64 +67,71 @@ class TestClipUniform:
         assert np.isnan(out.report.clipped_fraction[2])
 
 
-class TestGroupCounts:
+def noiseless_counts(norms, groups, bound, num_groups):
+    """The report's noised counts of a zero-noise ``GroupAdaptive`` step."""
+    out = apply_strategy(GroupAdaptive(bound, 0.0), np.asarray(norms, dtype=float),
+                         np.asarray(groups), num_groups, np.random.default_rng(0))
+    return out.report.above_noised, out.report.sizes_noised
+
+
+class TestExactCounts:
     def test_tie_counts_as_not_clipped(self):
         grads = make_grads([[0.5], [1.0], [2.0]])
-        counts = group_counts(grads[1], np.zeros(3, dtype=int), 1.0, 1)
-        assert counts.above[0] == 1 and counts.at_or_below[0] == 2
+        above, sizes = noiseless_counts(grads[1], np.zeros(3, dtype=int), 1.0, 1)
+        assert above[0] == 1 and sizes[0] - above[0] == 2
 
     def test_absent_group_zero(self):
         grads = make_grads([[2.0]])
-        counts = group_counts(grads[1], np.array([0]), 1.0, 3)
-        np.testing.assert_array_equal(counts.above, [1, 0, 0])
-        np.testing.assert_array_equal(counts.at_or_below, [0, 0, 0])
+        above, sizes = noiseless_counts(grads[1], np.array([0]), 1.0, 3)
+        np.testing.assert_array_equal(above, [1, 0, 0])
+        np.testing.assert_array_equal(sizes - above, [0, 0, 0])
 
     def test_all_above(self):
         grads = make_grads([[3.0], [4.0]])
-        counts = group_counts(grads[1], np.array([1, 1]), 1.0, 2)
-        assert counts.above[1] == 2 and counts.at_or_below[1] == 0
+        above, sizes = noiseless_counts(grads[1], np.array([1, 1]), 1.0, 2)
+        assert above[1] == 2 and sizes[1] - above[1] == 0
 
 
 class TestNoiseCounts:
     def test_zero_std_is_identity(self):
-        counts = GroupCounts(np.array([2, 0]), np.array([3, 5]))
-        noised = noise_counts(counts, 0.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(noised.above, [2.0, 0.0])
-        np.testing.assert_array_equal(noised.at_or_below, [3.0, 5.0])
+        # group 0: two rows above the bound, three at or below; group 1: five below
+        above, sizes = noiseless_counts([2.0, 2.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+                                        [0, 0, 0, 0, 0, 1, 1, 1, 1, 1], 1.0, 2)
+        np.testing.assert_array_equal(above, [2.0, 0.0])
+        np.testing.assert_array_equal(sizes - above, [3.0, 5.0])
 
     def test_additivity_of_size(self):
-        counts = GroupCounts(np.array([2]), np.array([3]))
-        rng = np.random.default_rng(7)
-        noised = noise_counts(counts, 4.0, rng)
+        out = apply_strategy(GroupAdaptive(1.0, 4.0), np.array([2.0, 2.0, 0.5, 0.5, 0.5]),
+                             np.zeros(5, dtype=int), 1, np.random.default_rng(7))
         draws = np.random.default_rng(7).normal(0.0, 4.0, size=2)
-        assert noised.above[0] + noised.at_or_below[0] == \
-            pytest.approx(5.0 + draws.sum(), abs=1e-12)
+        assert out.report.sizes_noised[0] == pytest.approx(5.0 + draws.sum(), abs=1e-12)
 
     def test_negative_draw_clamped_in_derived(self):
-        counts = GroupCounts(np.array([1]), np.array([0]))
-        noised = noise_counts(counts, 50.0, np.random.default_rng(3))
-        assert noised.above_clamped.min() >= 0.0
-        assert noised.sizes_clamped.min() >= 1.0
+        # one row above the bound, none below; the size draw is negative
+        draws = np.random.default_rng(3).normal(0.0, 50.0, size=2)
+        above = np.array([1.0 + draws[0]])
+        sizes = above + (0.0 + draws[1])
+        assert above[0] > 0.0 and sizes[0] < 0.0
+        bounds = adaptive_bounds(above, sizes, 1.0, batch_size=1)
+        # the size clamps to one, so the bound is 1 + above/above, not below base
+        np.testing.assert_array_equal(bounds, [2.0])
 
 
 class TestAdaptiveBounds:
     def test_equal_shares_give_double(self):
-        noised = noise_counts(GroupCounts(np.array([5, 5]), np.array([5, 5])),
-                              0.0, np.random.default_rng(0))
-        bounds = adaptive_bounds(noised, 0.75, batch_size=20)
+        bounds = adaptive_bounds(np.array([5.0, 5.0]), np.array([10.0, 10.0]), 0.75,
+                                 batch_size=20)
         np.testing.assert_array_equal(bounds, [1.5, 1.5])
 
     def test_unclipped_group_keeps_base(self):
-        noised = noise_counts(GroupCounts(np.array([0, 4]), np.array([6, 2])),
-                              0.0, np.random.default_rng(0))
-        bounds = adaptive_bounds(noised, 1.0, batch_size=12)
+        bounds = adaptive_bounds(np.array([0.0, 4.0]), np.array([6.0, 6.0]), 1.0,
+                                 batch_size=12)
         assert bounds[0] == 1.0
         assert bounds[1] > 1.0
 
     def test_no_pressure_anywhere_keeps_base(self):
-        noised = noise_counts(GroupCounts(np.array([0, 0]), np.array([6, 6])),
-                              0.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(adaptive_bounds(noised, 1.0, 12), [1.0, 1.0])
+        np.testing.assert_array_equal(
+            adaptive_bounds(np.array([0.0, 0.0]), np.array([6.0, 6.0]), 1.0, 12), [1.0, 1.0])
 
     def test_monotone_in_above_count(self):
         # one more clipped sample in a group means one fewer unclipped one,
@@ -136,10 +142,8 @@ class TestAdaptiveBounds:
             above = rng.integers(1, 20, size=3).astype(float)
             below = rng.integers(2, 20, size=3).astype(float)
             shift = np.array([1.0, 0.0, 0.0])
-            noised = noise_counts(GroupCounts(above, below), 0.0, rng)
-            bumped = noise_counts(GroupCounts(above + shift, below - shift), 0.0, rng)
-            b0 = adaptive_bounds(noised, 1.0, 60)
-            b1 = adaptive_bounds(bumped, 1.0, 60)
+            b0 = adaptive_bounds(above, above + below, 1.0, 60)
+            b1 = adaptive_bounds(above + shift, above + below, 1.0, 60)
             assert b1[0] >= b0[0] - 1e-12
 
     def test_direction_more_clipping_means_larger_bound(self):
@@ -148,11 +152,8 @@ class TestAdaptiveBounds:
             size = int(rng.integers(4, 30))
             above_a = int(rng.integers(1, size))
             above_b = int(rng.integers(0, above_a))  # group B clips strictly less
-            noised = noise_counts(
-                GroupCounts(np.array([above_a, above_b]),
-                            np.array([size - above_a, size - above_b])),
-                0.0, rng)
-            bounds = adaptive_bounds(noised, 1.0, 2 * size)
+            bounds = adaptive_bounds(np.array([above_a, above_b], dtype=float),
+                                     np.array([size, size], dtype=float), 1.0, 2 * size)
             assert bounds[0] > bounds[1]
 
 
@@ -239,14 +240,24 @@ class TestApplyStrategy:
                            np.random.default_rng(0))
 
     def test_count_noise_draw_order_is_documented(self):
-        # adaptive consumes 2K normals: above counts first, then at-or-below
+        # adaptive consumes 2K normals: above counts first, then at-or-below;
+        # naive consumes K normals, one per group size. Under seed 7 the
+        # sizes round differently if summed as (above + below) + noise.
         _, norms = make_grads([[9.0], [0.1]])
         groups = np.array([0, 1])
-        out = apply_strategy(GroupAdaptive(1.0, 3.0), norms, groups, 2,
-                             np.random.default_rng(42))
-        draws = np.random.default_rng(42).normal(0.0, 3.0, size=4)
-        np.testing.assert_allclose(out.report.above_noised,
-                                   np.array([1.0, 0.0]) + draws[:2], rtol=1e-15)
+        for seed in (42, 7):
+            out = apply_strategy(GroupAdaptive(1.0, 3.0), norms, groups, 2,
+                                 np.random.default_rng(seed))
+            draws = np.random.default_rng(seed).normal(0.0, 3.0, size=4)
+            above = np.array([1.0, 0.0]) + draws[:2]
+            np.testing.assert_array_equal(out.report.above_noised, above)
+            np.testing.assert_array_equal(out.report.sizes_noised,
+                                          above + (np.array([0.0, 1.0]) + draws[2:]))
+            out = apply_strategy(NaiveReweight(1.0, 3.0), norms, groups, 2,
+                                 np.random.default_rng(seed))
+            draws = np.random.default_rng(seed).normal(0.0, 3.0, size=2)
+            np.testing.assert_array_equal(out.report.sizes_noised,
+                                          np.array([1.0, 1.0]) + draws)
 
 
 class TestNormSafetyFuzz:

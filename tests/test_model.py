@@ -3,9 +3,10 @@ import pytest
 
 from fairdp.dataio import Batch, Dataset
 from fairdp.errors import DataError
-from fairdp.model import (GradStream, ModelSpec, accuracy, forward,
-                          init_params, load_params, per_sample_grads,
-                          per_sample_losses, save_params)
+from fairdp.metrics import group_report
+from fairdp.model import (GradStream, ModelSpec, forward, init_params,
+                          load_params, per_sample_grads, per_sample_losses,
+                          save_params)
 
 
 def random_batch(rng, n, d, c):
@@ -281,7 +282,7 @@ class TestAccuracy:
         spec = ModelSpec.softmax(2, 2)
         data = Dataset(np.zeros((10, 2)), np.array([0] * 5 + [1] * 5),
                        np.zeros(10, dtype=int), ("g",), 2)
-        assert accuracy(spec, init_params(spec), data) == 0.5
+        assert group_report(spec, init_params(spec), data).overall_accuracy == 0.5
 
     def test_perfect_fit(self):
         spec = ModelSpec.softmax(1, 2)
@@ -289,21 +290,21 @@ class TestAccuracy:
         params = np.array([-50.0, 50.0, 0.0, 0.0])
         x = np.array([[-1.0], [1.0], [-2.0], [0.5]])
         data = Dataset(x, np.array([0, 1, 0, 1]), np.zeros(4, dtype=int), ("g",), 2)
-        assert accuracy(spec, params, data) == 1.0
+        assert group_report(spec, params, data).overall_accuracy == 1.0
 
     def test_single_wrong_sample(self):
         spec = ModelSpec.softmax(1, 2)
         params = np.array([-50.0, 50.0, 0.0, 0.0])
         data = Dataset(np.array([[1.0]]), np.array([0]), np.zeros(1, dtype=int),
                        ("g",), 2)
-        assert accuracy(spec, params, data) == 0.0
+        assert group_report(spec, params, data).overall_accuracy == 0.0
 
     def test_empty_dataset_rejected(self):
         spec = ModelSpec.softmax(2, 2)
         data = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int),
                        np.zeros(0, dtype=int), ("g",), 2)
         with pytest.raises(DataError):
-            accuracy(spec, init_params(spec), data)
+            group_report(spec, init_params(spec), data)
 
 
 class TestSerialization:
