@@ -30,6 +30,13 @@ class CostBound:
     clipped_count: int
 
 
+def _checked_norms(norms) -> np.ndarray:
+    norms = np.asarray(norms, dtype=np.float64)
+    if not np.all(np.isfinite(norms) & (norms >= 0.0)):
+        raise ValueError("norms must be finite and non-negative")
+    return norms
+
+
 def _group_bound(norms: np.ndarray, group: int, bound: float, eps: float) -> CostBound:
     size = norms.shape[0]
     excess = np.maximum(norms - bound, 0.0)
@@ -45,8 +52,10 @@ def cost_bounds(norms: np.ndarray, groups: np.ndarray, bound: float,
     """Per-group error bounds for one batch of gradient magnitudes.
 
     Args:
-      norms: per-sample gradient magnitudes for the whole batch.
-      groups: group index per sample; every group 0..max must be present.
+      norms: per-sample gradient magnitudes for the whole batch, finite
+        and non-negative.
+      groups: non-negative group index per sample; every group 0..max must
+        be present.
       bound: the clipping bound applied to every sample.
       eps: per-release privacy parameter of the Laplace mechanism.
     """
@@ -54,8 +63,10 @@ def cost_bounds(norms: np.ndarray, groups: np.ndarray, bound: float,
         raise ValueError("bound must be positive")
     if not eps > 0:
         raise ValueError("eps must be positive")
-    norms = np.asarray(norms, dtype=np.float64)
+    norms = _checked_norms(norms)
     groups = np.asarray(groups)
+    if groups.size and groups.min() < 0:
+        raise ValueError("group indices must be non-negative")
     out = []
     for k in range(int(groups.max()) + 1):
         members = norms[groups == k]
@@ -70,9 +81,10 @@ def optimal_clip(norms: np.ndarray, batch_size: int, eps: float) -> float:
 
     Returns the k-th largest magnitude with k = ceil(1/eps), i.e. the
     (1 - 1/(batch_size * eps))-quantile under the k-th-largest convention.
-    Requires batch_size * eps > 1 so the quantile exists.
+    Requires batch_size * eps > 1 so the quantile exists, and finite,
+    non-negative magnitudes.
     """
-    norms = np.asarray(norms, dtype=np.float64)
+    norms = _checked_norms(norms)
     if norms.shape[0] != batch_size:
         raise ValueError(f"batch_size {batch_size} != {norms.shape[0]} magnitudes")
     if not batch_size * eps > 1.0:

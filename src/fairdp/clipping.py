@@ -19,6 +19,12 @@ factor per row, f_i = min(1, C_g/norm_i) * w_g, the effective sensitivity
 factor-scaled rows), and a per-group report for logging. Scaling and
 summing the rows is left to the caller.
 
+One batch is counted once: one ``bincount`` of its group sizes feeds the
+naive strategy's noised sizes, the adaptive strategy's at-or-below counts
+(sizes minus above-counts) and ``row_factors``; there one ``norms > C_g``
+mask gives the factors and the clipped fractions, and the sizes give the
+groups present for the sensitivity.
+
 Count noising draws happen in a fixed order (all above-bound counts by
 ascending group, then all at-or-below counts) so runs are reproducible.
 Noised quantities are clamped before use: above-counts at zero, group
@@ -102,13 +108,18 @@ class ClipOutcome(NamedTuple):
 
 
 def row_factors(norms: np.ndarray, groups: np.ndarray, bounds: np.ndarray,
-                weights: np.ndarray) -> tuple[np.ndarray, float]:
-    """Row factors f_i = min(1, C_g/norm_i) * w_g and their sensitivity.
+                weights: np.ndarray, sizes: np.ndarray | None = None
+                ) -> tuple[np.ndarray, float, np.ndarray]:
+    """Row factors f_i = min(1, C_g/norm_i) * w_g, their sensitivity, and
+    each group's clipped fraction.
 
     ``bounds`` (C) and ``weights`` (w) are per group; a row at or below its
     bound, including a zero-norm row, keeps clip factor one. The sensitivity
     is the largest C_g * w_g among groups present in the batch: an absent
-    group cannot contribute a row, so its bound is ignored.
+    group cannot contribute a row, so its bound is ignored. The clipped
+    fraction of a group is its share of rows above their bound, NaN for an
+    absent group. ``sizes`` is the batch's row count per group
+    (``np.bincount(groups)``); it is counted here when not given.
     """
     norms = np.asarray(norms, dtype=np.float64)
     bounds = np.asarray(bounds, dtype=np.float64)
@@ -116,22 +127,19 @@ def row_factors(norms: np.ndarray, groups: np.ndarray, bounds: np.ndarray,
     if not (np.all(bounds > 0) and np.all(weights > 0)):
         raise ValueError("all bounds and weights must be positive")
     groups = np.asarray(groups)
+    num_groups = bounds.shape[0]
+    if sizes is None:
+        sizes = np.bincount(groups, minlength=num_groups)
     row_bounds = bounds[groups]
     factors = np.ones_like(norms)
     over = norms > row_bounds
     factors[over] = row_bounds[over] / norms[over]
-    present = np.unique(groups)
-    return factors * weights[groups], float((bounds * weights)[present].max())
-
-
-def _clip_fraction(norms: np.ndarray, groups: np.ndarray, bounds: np.ndarray,
-                   num_groups: int) -> np.ndarray:
-    sizes = np.bincount(groups, minlength=num_groups).astype(np.float64)
-    over = np.bincount(groups[norms > bounds[groups]], minlength=num_groups)
-    out = np.full(num_groups, np.nan)
     present = sizes > 0
-    out[present] = over[present] / sizes[present]
-    return out
+    clipped = np.full(num_groups, np.nan)
+    clipped[present] = (np.bincount(groups[over], minlength=num_groups)[present]
+                        / sizes[present])
+    return (factors * weights[groups], float((bounds * weights)[present].max()),
+            clipped)
 
 
 def adaptive_bounds(above_noised: np.ndarray, sizes_noised: np.ndarray,
@@ -172,33 +180,31 @@ def apply_strategy(strategy: ClipStrategy, norms: np.ndarray,
     """Row factors, sensitivity and report for one batch's per-sample norms.
 
     Count noise is drawn from ``rng``. Each strategy sets per-group bounds
-    and weights; ``row_factors`` turns them into the factors and the
-    sensitivity. The report carries the noised counts/sizes where the
-    strategy produced them.
+    and weights; ``row_factors`` turns them into the factors, the
+    sensitivity and the clipped fractions. The report carries the noised
+    counts/sizes where the strategy produced them.
     """
     groups = np.asarray(groups)
     batch_size = norms.shape[0]
+    sizes = np.bincount(groups, minlength=num_groups)
     weights = np.ones(num_groups)
     above_noised = sizes_noised = None
     if isinstance(strategy, Uniform):
         bounds = np.full(num_groups, strategy.bound)
     elif isinstance(strategy, GroupAdaptive):
-        over = norms > strategy.base_bound
+        above = np.bincount(groups[norms > strategy.base_bound], minlength=num_groups)
         noise = rng.normal(0.0, strategy.count_noise_std, size=2 * num_groups)
-        above_noised = np.bincount(groups[over], minlength=num_groups) + noise[:num_groups]
-        sizes_noised = above_noised + (np.bincount(groups[~over], minlength=num_groups)
-                                       + noise[num_groups:])
+        above_noised = above + noise[:num_groups]
+        sizes_noised = above_noised + ((sizes - above) + noise[num_groups:])
         bounds = adaptive_bounds(above_noised, sizes_noised, strategy.base_bound,
                                  batch_size)
     elif isinstance(strategy, NaiveReweight):
-        sizes = np.bincount(groups, minlength=num_groups).astype(np.float64)
         sizes_noised = sizes + rng.normal(0.0, strategy.count_noise_std, size=num_groups)
         bounds = np.full(num_groups, strategy.base_bound)
         weights = naive_weights(sizes_noised, num_groups, batch_size)
     else:
         raise ValueError(f"not a clipping strategy: {strategy!r}")
-    factors, sensitivity = row_factors(norms, groups, bounds, weights)
+    factors, sensitivity, clipped = row_factors(norms, groups, bounds, weights, sizes)
     logged = weights if isinstance(strategy, NaiveReweight) else bounds
-    report = GroupClipReport(logged, _clip_fraction(norms, groups, bounds, num_groups),
-                             above_noised, sizes_noised)
+    report = GroupClipReport(logged, clipped, above_noised, sizes_noised)
     return ClipOutcome(factors, sensitivity, report)

@@ -50,9 +50,8 @@ def group_report(spec: model.ModelSpec, params: np.ndarray, data) -> GroupReport
     if np.any(counts == 0):
         missing = [data.group_names[k] for k in np.flatnonzero(counts == 0)]
         raise DataError(f"empty group(s) in evaluation data: {missing}")
-    probs = model.forward(spec, params, data.features)
-    correct = (np.argmax(probs, axis=1) == data.labels).astype(np.float64)
-    losses = model.per_sample_losses(spec, params, data)
+    predictions, losses = model.predictions_and_losses(spec, params, data)
+    correct = (predictions == data.labels).astype(np.float64)
     num_groups = data.num_groups
     acc = np.bincount(data.groups, weights=correct, minlength=num_groups) / counts
     loss = np.bincount(data.groups, weights=losses, minlength=num_groups) / counts
@@ -80,10 +79,14 @@ def privacy_impact(private: GroupReport, nonprivate: GroupReport, tau: float) ->
     return ImpactReport(private.group_names, delta, gap, tau, bool(gap <= tau))
 
 
-def _positive_rates(spec, params, data, positive_class, condition=None):
-    """Per-group rate of predicting the positive class among ``condition``."""
+def _positive_hits(spec, params, data, positive_class) -> np.ndarray:
+    """1.0 where a row's predicted class is the positive class, else 0.0."""
     preds = np.argmax(model.forward(spec, params, data.features), axis=1)
-    hit = (preds == positive_class).astype(np.float64)
+    return (preds == positive_class).astype(np.float64)
+
+
+def _positive_rates(hit, data, condition=None):
+    """Per-group mean of ``hit`` among the rows where ``condition`` holds."""
     mask = np.ones(data.n, dtype=bool) if condition is None else condition
     rates = np.full(data.num_groups, np.nan)
     for k in range(data.num_groups):
@@ -98,7 +101,8 @@ def demographic_parity_gap(spec: model.ModelSpec, params: np.ndarray, data,
     """Largest pairwise difference in positive-prediction rates."""
     if np.any(data.group_sizes() == 0):
         raise DataError("empty group in evaluation data")
-    return _max_pairwise_gap(_positive_rates(spec, params, data, positive_class))
+    hit = _positive_hits(spec, params, data, positive_class)
+    return _max_pairwise_gap(_positive_rates(hit, data))
 
 
 def equalized_odds_gaps(spec: model.ModelSpec, params: np.ndarray, data,
@@ -113,8 +117,9 @@ def equalized_odds_gaps(spec: model.ModelSpec, params: np.ndarray, data,
     if np.any(data.group_sizes() == 0):
         raise DataError("empty group in evaluation data")
     is_positive = data.labels == positive_class
-    tpr = _positive_rates(spec, params, data, positive_class, is_positive)
-    fpr = _positive_rates(spec, params, data, positive_class, ~is_positive)
+    hit = _positive_hits(spec, params, data, positive_class)
+    tpr = _positive_rates(hit, data, is_positive)
+    fpr = _positive_rates(hit, data, ~is_positive)
     for rates, label, rate in ((tpr, "positive", "TPR"), (fpr, "negative", "FPR")):
         missing = [f"'{data.group_names[k]}'" for k in np.flatnonzero(~np.isfinite(rates))]
         if missing:

@@ -18,6 +18,14 @@ matrix is the outer product a_i d_i^T plus lW, so its squared norm is
 |a_i|^2 |d_i|^2 + 2 a_i^T (lW) d_i + |lW|^2 (the "ghost norm"), and a
 factor-weighted sum over the batch is A^T (f * D) + lW sum(f). Both cost
 about one forward pass instead of b x param_count values.
+
+One step computes each shared value once: the params are unpacked once
+per batch; one row max, one shifted ``exp`` and one row sum of the logits
+give both the losses (log-sum-exp) and the softmax deltas and
+predictions; and each layer's |d_i|^2 serves its weight matrix and its
+bias. Evaluation (``predictions_and_losses``) goes through the same
+softmax, so its losses and predictions equal the training pass's bit for
+bit.
 ``per_sample_grads`` materializes the b x param_count matrix from the same
 factors; it is the reference the stream is tested against.
 
@@ -117,48 +125,66 @@ def _unpack(spec: ModelSpec, params: np.ndarray):
     return w1, b1, w2, b2
 
 
-def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
-    """Logits for a 2-D input batch; also returns the hidden pieces for mlp."""
+def _logits(spec: ModelSpec, weights, x: np.ndarray):
+    """Logits for a 2-D input batch from the unpacked params; also returns
+    the hidden pieces for mlp."""
     if spec.kind == SOFTMAX:
-        w, b = _unpack(spec, params)
+        w, b = weights
         return x @ w + b, None, None
-    w1, b1, w2, b2 = _unpack(spec, params)
+    w1, b1, w2, b2 = weights
     z1 = x @ w1 + b1
     a1 = np.maximum(z1, 0.0)
     return a1 @ w2 + b2, z1, a1
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class probabilities and each row's log-sum-exp.
+
+    One row max, one max-shifted ``exp`` and one row sum serve both, so
+    the losses and the predictions of a batch come from the same values.
+    """
+    top = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - top)
+    total = e.sum(axis=1, keepdims=True)
+    return e / total, np.log(total[:, 0]) + top[:, 0]
 
 
 def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Class probabilities for one sample (1-D x) or a batch (2-D x)."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    logits, _, _ = _logits(spec, params, x[None, :] if single else x)
-    probs = _softmax(logits)
+    logits, _, _ = _logits(spec, _unpack(spec, params), x[None, :] if single else x)
+    probs, _ = _softmax(logits)
     return probs[0] if single else probs
 
 
-def _weight_penalty(spec: ModelSpec, params: np.ndarray) -> float:
+def _weight_penalty(spec: ModelSpec, weights) -> float:
     if spec.l2 == 0.0:
         return 0.0
     if spec.kind == SOFTMAX:
-        w, _ = _unpack(spec, params)
+        w, _ = weights
         return 0.5 * spec.l2 * float(np.sum(w * w))
-    w1, _, w2, _ = _unpack(spec, params)
+    w1, _, w2, _ = weights
     return 0.5 * spec.l2 * float(np.sum(w1 * w1) + np.sum(w2 * w2))
 
 
-def _sample_losses(spec: ModelSpec, params: np.ndarray, logits: np.ndarray,
-                   y: np.ndarray) -> np.ndarray:
-    """Per-sample regularized cross-entropy from the batch's logits."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-    return lse - logits[np.arange(y.shape[0]), y] + _weight_penalty(spec, params)
+def _outputs(spec: ModelSpec, weights, x: np.ndarray, y: np.ndarray):
+    """One forward pass: class probabilities, per-sample regularized
+    cross-entropy, and the mlp's hidden pieces (None for softmax)."""
+    logits, z1, a1 = _logits(spec, weights, x)
+    probs, lse = _softmax(logits)
+    losses = lse - logits[np.arange(y.shape[0]), y] + _weight_penalty(spec, weights)
+    return probs, losses, z1, a1
+
+
+def predictions_and_losses(spec: ModelSpec, params: np.ndarray,
+                           batch) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's predicted class (the argmax of ``forward``) and its
+    regularized loss, from one forward pass and no gradient."""
+    probs, losses, _, _ = _outputs(spec, _unpack(spec, params),
+                                   np.asarray(batch.features, dtype=np.float64),
+                                   np.asarray(batch.labels, dtype=np.int64))
+    return np.argmax(probs, axis=1), losses
 
 
 def per_sample_losses(spec: ModelSpec, params: np.ndarray, batch) -> np.ndarray:
@@ -166,25 +192,23 @@ def per_sample_losses(spec: ModelSpec, params: np.ndarray, batch) -> np.ndarray:
 
     Equal bit for bit to ``per_sample_grads(spec, params, batch).losses``.
     """
-    logits, _, _ = _logits(spec, params, np.asarray(batch.features, dtype=np.float64))
-    return _sample_losses(spec, params, logits, np.asarray(batch.labels, dtype=np.int64))
+    return predictions_and_losses(spec, params, batch)[1]
 
 
 def _layer_factors(spec: ModelSpec, params: np.ndarray, batch):
-    """One forward/backward pass: losses, predictions and each segment's factors.
+    """One forward/backward pass: losses, predictions and each layer's factors.
 
     Predictions are the argmax of the class probabilities, exactly as from
-    ``forward``. Segments come in parameter order as ``(inputs, deltas,
-    penalty)``. Row i of a weight segment is the outer product of
-    ``inputs[i]`` and ``deltas[i]`` plus ``penalty``, the L2 term shaped
-    like the weight matrix (None when l2 is 0); row i of a bias segment
-    (``inputs`` None) is ``deltas[i]``.
+    ``forward``. Layers come in parameter order as ``(inputs, deltas,
+    penalty)``; each owns a weight matrix followed by its bias. Row i of
+    the weight gradient is the outer product of ``inputs[i]`` and
+    ``deltas[i]`` plus ``penalty``, the L2 term shaped like the weight
+    matrix (None when l2 is 0); row i of the bias gradient is ``deltas[i]``.
     """
     x = np.asarray(batch.features, dtype=np.float64)
     y = np.asarray(batch.labels, dtype=np.int64)
-    logits, z1, a1 = _logits(spec, params, x)
-    losses = _sample_losses(spec, params, logits, y)
-    delta_out = _softmax(logits)
+    weights = _unpack(spec, params)
+    delta_out, losses, z1, a1 = _outputs(spec, weights, x, y)
     predictions = np.argmax(delta_out, axis=1)
     delta_out[np.arange(y.shape[0]), y] -= 1.0
 
@@ -192,12 +216,11 @@ def _layer_factors(spec: ModelSpec, params: np.ndarray, batch):
         return spec.l2 * w if spec.l2 else None
 
     if spec.kind == SOFTMAX:
-        w, _ = _unpack(spec, params)
-        return losses, predictions, ((x, delta_out, penalty(w)), (None, delta_out, None))
-    w1, _, w2, _ = _unpack(spec, params)
+        w, _ = weights
+        return losses, predictions, ((x, delta_out, penalty(w)),)
+    w1, _, w2, _ = weights
     delta_hidden = (delta_out @ w2.T) * (z1 > 0.0)
-    return losses, predictions, ((x, delta_hidden, penalty(w1)), (None, delta_hidden, None),
-                                 (a1, delta_out, penalty(w2)), (None, delta_out, None))
+    return losses, predictions, ((x, delta_hidden, penalty(w1)), (a1, delta_out, penalty(w2)))
 
 
 def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -210,9 +233,10 @@ class GradStream:
 
     Construction runs the batch's forward/backward pass once and sums each
     segment's squared row norms: |a_i|^2 |d_i|^2 + 2 a_i^T (lW) d_i + |lW|^2
-    for a weight segment, |d_i|^2 for a bias. The sum is clamped at 0
-    before the square root, because the L2 cross term can round it just
-    below; NaN and inf pass through. Memory is a few layer-sized arrays.
+    for a weight matrix, |d_i|^2 for its bias. Each layer's |d_i|^2 is
+    computed once and serves both. The sum is clamped at 0 before the
+    square root, because the L2 cross term can round it just below; NaN and
+    inf pass through. Memory is a few layer-sized arrays.
 
     Attributes:
       norms, losses: per-sample gradient norms and regularized losses.
@@ -221,17 +245,17 @@ class GradStream:
     """
 
     def __init__(self, spec: ModelSpec, params: np.ndarray, batch):
-        self.losses, self.predictions, self._segments = _layer_factors(spec, params, batch)
+        self.losses, self.predictions, self._layers = _layer_factors(spec, params, batch)
         self.rows = self.losses.shape[0]
         squares = np.zeros(self.rows)
-        for inputs, deltas, penalty in self._segments:
-            row_squares = _row_dots(deltas, deltas)
-            if inputs is not None:
-                row_squares *= _row_dots(inputs, inputs)
-                if penalty is not None:
-                    row_squares += 2.0 * _row_dots(inputs @ penalty, deltas)
-                    row_squares += np.vdot(penalty, penalty)
-            squares += row_squares
+        for inputs, deltas, penalty in self._layers:
+            delta_squares = _row_dots(deltas, deltas)
+            weight_squares = delta_squares * _row_dots(inputs, inputs)
+            if penalty is not None:
+                weight_squares += 2.0 * _row_dots(inputs @ penalty, deltas)
+                weight_squares += np.vdot(penalty, penalty)
+            squares += weight_squares
+            squares += delta_squares
         self.norms = np.sqrt(np.maximum(squares, 0.0))
 
     def weighted_sum(self, factors: np.ndarray | None = None) -> np.ndarray:
@@ -239,19 +263,16 @@ class GradStream:
 
         ``None`` sums them unscaled, through the same arithmetic with unit
         factors, so it equals the sum under factors that are all 1.0 bit
-        for bit. A weight segment contributes A^T (f * D) + lW sum(f), a
-        bias segment f^T D.
+        for bit. A weight matrix contributes A^T (f * D) + lW sum(f), its
+        bias f^T D.
         """
         f = np.ones(self.rows) if factors is None else factors
         parts = []
-        for inputs, deltas, penalty in self._segments:
-            if inputs is None:
-                parts.append(f @ deltas)
-                continue
+        for inputs, deltas, penalty in self._layers:
             part = inputs.T @ (deltas * f[:, None])
             if penalty is not None:
                 part += penalty * f.sum()
-            parts.append(part.ravel())
+            parts += [part.ravel(), f @ deltas]
         return np.concatenate(parts)
 
 
@@ -269,16 +290,13 @@ def per_sample_grads(spec: ModelSpec, params: np.ndarray, batch) -> PerSampleGra
       PerSampleGrads with a (b x param_count) gradient matrix, row norms,
       and per-sample losses.
     """
-    losses, _, segments = _layer_factors(spec, params, batch)
+    losses, _, layers = _layer_factors(spec, params, batch)
     columns = []
-    for inputs, deltas, penalty in segments:
-        if inputs is None:
-            columns.append(deltas)
-            continue
+    for inputs, deltas, penalty in layers:
         rows = np.einsum("bi,bj->bij", inputs, deltas)
         if penalty is not None:
             rows += penalty
-        columns.append(rows.reshape(rows.shape[0], -1))
+        columns += [rows.reshape(rows.shape[0], -1), deltas]
     grads = np.concatenate(columns, axis=1)
     return PerSampleGrads(grads, np.linalg.norm(grads, axis=1), losses)
 

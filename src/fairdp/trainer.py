@@ -193,9 +193,8 @@ def group_train_stats(spec: ModelSpec, params: np.ndarray, data):
 
 
 def _epsilon_after(step_curve: np.ndarray, steps: int, delta: float,
-                   orders=privacy.DEFAULT_ORDERS) -> tuple[float, float]:
-    curve = RdpCurve(np.asarray(orders, dtype=np.float64), steps * step_curve)
-    return privacy.to_epsilon(curve, delta)
+                   orders: np.ndarray) -> tuple[float, float]:
+    return privacy.to_epsilon(RdpCurve(orders, steps * step_curve), delta)
 
 
 def resolve_learning_rate(lr, planned_iterations: int) -> float:
@@ -230,6 +229,7 @@ def train(config: TrainConfig, train_data, test_data) -> TrainResult:
     params = init_params(spec, config.seed)
     ledger = PrivacyLedger()
     step_curve = step_rdp_curve(config.strategy, config.noise_multiplier, sampling_rate)
+    orders = np.asarray(privacy.DEFAULT_ORDERS, dtype=np.float64)
 
     logs: list[EpochLog] = []
     executed = 0
@@ -238,7 +238,7 @@ def train(config: TrainConfig, train_data, test_data) -> TrainResult:
     for epoch in range(1, config.epochs + 1):
         for _ in range(iters_per_epoch):
             if config.budget_target is not None and step_curve is not None:
-                eps_next, _ = _epsilon_after(step_curve, executed + 1, config.delta)
+                eps_next, _ = _epsilon_after(step_curve, executed + 1, config.delta, orders)
                 if eps_next > config.budget_target:
                     stopped = True
                     break
@@ -257,7 +257,7 @@ def train(config: TrainConfig, train_data, test_data) -> TrainResult:
             loss, norm, acc = group_train_stats(spec, params, train_data)
             epsilon = None
             if step_curve is not None and executed > 0:
-                epsilon = _epsilon_after(step_curve, executed, config.delta)[0]
+                epsilon = _epsilon_after(step_curve, executed, config.delta, orders)[0]
             logs.append(EpochLog(epoch, loss, norm, acc, epsilon,
                                  last_outcome.report if last_outcome else None))
         if stopped:

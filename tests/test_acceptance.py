@@ -115,7 +115,7 @@ class TestCriterion3StrategyReductions:
 class TestCriterion4ClipNormSafety:
     @staticmethod
     def clipped_norms(grads, groups, bounds, weights):
-        factors, _ = row_factors(np.linalg.norm(grads, axis=1), groups, bounds, weights)
+        factors, _, _ = row_factors(np.linalg.norm(grads, axis=1), groups, bounds, weights)
         return np.linalg.norm(grads * factors[:, None], axis=1)
 
     def test_fuzz_100k_rows_per_strategy(self):

@@ -50,6 +50,17 @@ class TestCostBounds:
         with pytest.raises(ValueError):
             cost_bounds(np.array([1.0]), np.array([1]), 1.0, 1.0)
 
+    def test_negative_group_rejected(self):
+        # group -1 used to be dropped from every bound without an error
+        with pytest.raises(ValueError, match="non-negative"):
+            cost_bounds(np.array([0.5, 1.0, 2.0]), np.array([0, -1, 0]), 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_bad_norm_rejected(self, bad):
+        # a NaN norm used to give NaN bias_term, upper and lower
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            cost_bounds(np.array([0.5, bad, 2.0]), np.array([0, 1, 1]), 1.0, 1.0)
+
     def test_stochastically_larger_norms_do_not_shrink_bias(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
@@ -74,6 +85,12 @@ class TestOptimalClip:
     def test_precondition(self):
         with pytest.raises(ValueError):
             optimal_clip(np.array([1.0, 2.0]), 2, 0.4)  # b * eps = 0.8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_bad_norm_rejected(self, bad):
+        # a NaN norm used to give a NaN clip
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            optimal_clip(np.array([1.0, bad, 3.0, 4.0]), 4, 1.0)
 
     def test_minimizes_envelope_over_breakpoints(self):
         rng = np.random.default_rng(5)

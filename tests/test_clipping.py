@@ -20,8 +20,8 @@ def clip(grads, groups, bounds, weights=None):
     matrix, norms = grads
     if weights is None:
         weights = np.ones(len(bounds))
-    factors, sensitivity = row_factors(norms, groups, np.asarray(bounds, dtype=float),
-                                       np.asarray(weights, dtype=float))
+    factors, sensitivity, _ = row_factors(norms, groups, np.asarray(bounds, dtype=float),
+                                          np.asarray(weights, dtype=float))
     return matrix * factors[:, None], sensitivity
 
 

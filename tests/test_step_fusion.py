@@ -1,0 +1,142 @@
+"""A DP-SGD step computes its shared intermediates once, with the same bits.
+
+``unfused_step`` keeps the arithmetic that recomputed them (a second row
+max and ``exp`` for the loss, per-segment delta row-squares, a second
+clip mask and ``bincount``). Every value the fused code yields must equal
+it exactly: a last-bit change would move every artifact of a run.
+"""
+
+import numpy as np
+import pytest
+
+import unfused_step as ref
+from fairdp.clipping import GroupAdaptive, NaiveReweight, Uniform, apply_strategy, row_factors
+from fairdp.dataio import Batch, Dataset
+from fairdp.metrics import group_report
+from fairdp.model import (GradStream, ModelSpec, forward, init_params, per_sample_grads,
+                          per_sample_losses, predictions_and_losses)
+
+NUM_GROUPS = 3
+SPECS = {
+    "softmax": lambda l2: ModelSpec.softmax(6, 3, l2),
+    "mlp": lambda l2: ModelSpec.mlp(6, 5, 3, l2),
+}
+STRATEGIES = {
+    "dpsgd": lambda bound: Uniform(bound),
+    "naive": lambda bound: NaiveReweight(bound, 3.0),
+    "dpsgd-f": lambda bound: GroupAdaptive(bound, 3.0),
+}
+
+
+def cases(kind, l2, count=12):
+    """Seeded (spec, params, batch); odd cases leave group 1 out of the batch."""
+    rng = np.random.default_rng((11, int(kind == "mlp"), int(l2 * 100)))
+    spec = SPECS[kind](l2)
+    for case in range(count):
+        rows = int(rng.integers(20, 80))
+        groups = rng.choice([0, 2], rows) if case % 2 else rng.integers(0, NUM_GROUPS, rows)
+        batch = Batch(rng.uniform(0.2, 3.0) * rng.standard_normal((rows, spec.input_dim)),
+                      rng.integers(0, spec.num_classes, rows), groups)
+        params = init_params(spec, case) + 0.6 * rng.standard_normal(spec.param_count)
+        yield spec, params, batch
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+@pytest.mark.parametrize("kind", ["softmax", "mlp"])
+class TestModelPass:
+    def test_stream_equals_unfused(self, kind, l2):
+        rng = np.random.default_rng(3)
+        for spec, params, batch in cases(kind, l2):
+            losses, predictions, segments = ref.layer_factors(spec, params, batch)
+            stream = GradStream(spec, params, batch)
+            rows = batch.labels.shape[0]
+            np.testing.assert_array_equal(stream.losses, losses)
+            np.testing.assert_array_equal(stream.predictions, predictions)
+            np.testing.assert_array_equal(stream.norms, ref.norms(segments, rows))
+            factors = rng.uniform(0.0, 2.0, rows)
+            np.testing.assert_array_equal(stream.weighted_sum(factors),
+                                          ref.weighted_sum(segments, factors))
+            np.testing.assert_array_equal(stream.weighted_sum(),
+                                          ref.weighted_sum(segments, np.ones(rows)))
+            np.testing.assert_array_equal(per_sample_grads(spec, params, batch).grads,
+                                          ref.grads(segments))
+
+    def test_eval_paths_equal_unfused(self, kind, l2):
+        for spec, params, batch in cases(kind, l2):
+            out, _, _ = ref.logits(spec, params, batch.features)
+            losses = ref.sample_losses(spec, params, out, batch.labels)
+            probs = ref.forward(spec, params, batch.features)
+            np.testing.assert_array_equal(forward(spec, params, batch.features), probs)
+            np.testing.assert_array_equal(forward(spec, params, batch.features[0]),
+                                          ref.forward(spec, params, batch.features[:1])[0])
+            np.testing.assert_array_equal(per_sample_losses(spec, params, batch), losses)
+            predictions, fused_losses = predictions_and_losses(spec, params, batch)
+            np.testing.assert_array_equal(predictions, np.argmax(probs, axis=1))
+            np.testing.assert_array_equal(fused_losses, losses)
+
+    def test_group_report_equals_unfused(self, kind, l2):
+        for spec, params, batch in cases(kind, l2):
+            groups = np.arange(batch.labels.shape[0]) % NUM_GROUPS
+            data = Dataset(batch.features, batch.labels, groups,
+                           tuple(f"g{k}" for k in range(NUM_GROUPS)), spec.num_classes)
+            out, _, _ = ref.logits(spec, params, data.features)
+            correct = (np.argmax(ref.forward(spec, params, data.features), axis=1)
+                       == data.labels).astype(np.float64)
+            losses = ref.sample_losses(spec, params, out, data.labels)
+            counts = data.group_sizes()
+            report = group_report(spec, params, data)
+            np.testing.assert_array_equal(
+                report.accuracy,
+                np.bincount(groups, weights=correct, minlength=NUM_GROUPS) / counts)
+            np.testing.assert_array_equal(
+                report.mean_loss,
+                np.bincount(groups, weights=losses, minlength=NUM_GROUPS) / counts)
+            assert report.overall_accuracy == float(correct.mean())
+
+
+@pytest.mark.parametrize("strategy_name", sorted(STRATEGIES))
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+@pytest.mark.parametrize("kind", ["softmax", "mlp"])
+def test_apply_strategy_equals_unfused(kind, l2, strategy_name):
+    """Factors, sensitivity and report, with the bound equal to one row's norm."""
+    for case, (spec, params, batch) in enumerate(cases(kind, l2)):
+        norms = GradStream(spec, params, batch).norms
+        bound = float(np.sort(norms)[norms.shape[0] // 3])
+        strategy = STRATEGIES[strategy_name](bound)
+        fused = apply_strategy(strategy, norms, batch.groups, NUM_GROUPS,
+                               np.random.default_rng(case))
+        factors, sensitivity, logged, clipped, above, sizes = ref.apply_strategy(
+            strategy, norms, batch.groups, NUM_GROUPS, np.random.default_rng(case))
+        np.testing.assert_array_equal(fused.factors, factors)
+        assert fused.sensitivity == sensitivity
+        np.testing.assert_array_equal(fused.report.bounds, logged)
+        np.testing.assert_array_equal(fused.report.clipped_fraction, clipped)
+        for got, want in ((fused.report.above_noised, above),
+                          (fused.report.sizes_noised, sizes)):
+            assert (got is None) == (want is None)
+            if want is not None:
+                np.testing.assert_array_equal(got, want)
+        if case % 2:
+            assert np.isnan(fused.report.clipped_fraction[1])
+
+
+def test_row_factors_equal_unfused():
+    rng = np.random.default_rng(8)
+    for case in range(200):
+        num_groups = int(rng.integers(1, 5))
+        rows = int(rng.integers(1, 40))
+        groups = rng.integers(0, num_groups, rows)
+        norms = rng.exponential(2.0, rows)
+        norms[rng.random(rows) < 0.1] = 0.0
+        bounds = rng.uniform(0.1, 4.0, num_groups)
+        norms[0] = bounds[groups[0]]  # a row exactly at its bound is not clipped
+        weights = rng.uniform(0.1, 3.0, num_groups)
+        want_factors, want_sensitivity = ref.row_factors(norms, groups, bounds, weights)
+        want_clipped = ref.clip_fraction(norms, groups, bounds, num_groups)
+        sizes = np.bincount(groups, minlength=num_groups)
+        for given in (None, sizes):
+            factors, sensitivity, clipped = row_factors(norms, groups, bounds, weights, given)
+            np.testing.assert_array_equal(factors, want_factors)
+            assert sensitivity == want_sensitivity
+            np.testing.assert_array_equal(clipped, want_clipped)
+        assert factors[0] == weights[groups[0]]
