@@ -91,22 +91,3 @@ def optimal_clip(norms: np.ndarray, batch_size: int, eps: float) -> float:
         raise ValueError("need batch_size * eps > 1")
     k = int(np.ceil(1.0 / eps))
     return float(np.sort(norms)[::-1][k - 1])
-
-
-def empirical_error(grads: np.ndarray, bound: float, eps: float, trials: int,
-                    rng: np.random.Generator) -> float:
-    """Monte-Carlo estimate of E|private mean - true mean| for one group.
-
-    Clips the scalar gradients at the bound, then repeatedly perturbs the
-    clipped sum with Laplace noise of scale bound/eps.
-    """
-    if trials < 1000:
-        raise ValueError("need at least 1000 trials")
-    if not bound > 0 or not eps > 0:
-        raise ValueError("bound and eps must be positive")
-    grads = np.asarray(grads, dtype=np.float64)
-    size = grads.shape[0]
-    true_mean = grads.mean()
-    clipped_sum = np.clip(grads, -bound, bound).sum()
-    noise = rng.laplace(0.0, bound / eps, size=trials)
-    return float(np.abs((clipped_sum + noise) / size - true_mean).mean())

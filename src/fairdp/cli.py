@@ -326,9 +326,9 @@ def _report_dict(report: metrics.GroupReport) -> dict:
     }
 
 
-def _fairness_dict(spec, params, test_data, positive_class) -> dict:
-    dp_gap = metrics.demographic_parity_gap(spec, params, test_data, positive_class)
-    tpr_gap, fpr_gap = metrics.equalized_odds_gaps(spec, params, test_data, positive_class)
+def _fairness_dict(predictions, test_data, positive_class) -> dict:
+    dp_gap = metrics.demographic_parity_gap(predictions, test_data, positive_class)
+    tpr_gap, fpr_gap = metrics.equalized_odds_gaps(predictions, test_data, positive_class)
     return {"demographic_parity_gap": dp_gap, "tpr_gap": tpr_gap, "fpr_gap": fpr_gap,
             "positive_class": positive_class}
 
@@ -343,9 +343,6 @@ def cmd_prepare_data(args) -> int:
         data, train_data, test_data, digest = build_dataset(cfg["dataset"])
     out = Path(args.out or cfg["report"]["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    dataio.save_dataset(data, out / "dataset.bin")
-    dataio.save_dataset(train_data, out / "train.bin")
-    dataio.save_dataset(test_data, out / "test.bin")
     summary = {
         "fingerprint": digest,
         "rows": data.n, "dim": data.dim,
@@ -375,6 +372,7 @@ def cmd_train(args) -> int:
         raise ConfigError(f"[report] positive_class {positive_class} out of range")
     if tr["batch_size"] > train_data.n:
         raise ConfigError(f"[training] batch_size exceeds the {train_data.n} training rows")
+    metrics.evaluation_counts(test_data)  # fail on an empty test group before any fit
 
     baseline = trainer.train_nonprivate(config, train_data, test_data)
     private = trainer.train(config, train_data, test_data)
@@ -387,7 +385,7 @@ def cmd_train(args) -> int:
     out = Path(cfg["report"]["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     for name, result in ((BASELINE_NAME, baseline), (tr["strategy"], private)):
-        fairness = _fairness_dict(spec, result.params, test_data, positive_class)
+        fairness = _fairness_dict(result.test_report.predictions, test_data, positive_class)
         run_dir = out / name
         run_dir.mkdir(parents=True, exist_ok=True)
         run = {
@@ -501,6 +499,38 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _run_file(path: Path):
+    """Report a run file that is not JSON, or lacks a field that ``compare``
+    reads, as a DataError naming the file."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
+        raise DataError(f"cannot read '{path}': {exc}") from None
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"malformed run file '{path}': missing or bad field {exc}") from None
+
+
+def _read_run(path: Path) -> dict:
+    """The fields of a ``run.json`` that ``compare`` tabulates."""
+    with _run_file(path):
+        run = json.loads(path.read_text(encoding="utf-8"))
+        report = run["test_report"]
+        return {"path": path, "strategy": run["strategy"], "epsilon": run["epsilon"],
+                "iterations": run["iterations_executed"],
+                "fingerprint": run["dataset_fingerprint"],
+                "overall_accuracy": report["overall_accuracy"],
+                "accuracy": {g["name"]: g["accuracy"] for g in report["groups"]}}
+
+
+def _read_impact(path: Path) -> dict:
+    with _run_file(path):
+        impact = json.loads(path.read_text(encoding="utf-8"))
+        return {"path": path, "delta": dict(impact["delta_by_group"]),
+                "overall_delta": impact["overall_delta"],
+                "max_pairwise_gap": impact["max_pairwise_gap"]}
+
+
 def _load_run_dir(path: Path) -> dict:
     if not path.is_dir():
         raise DataError(f"missing run directory: {path}")
@@ -511,41 +541,36 @@ def _load_run_dir(path: Path) -> dict:
                      and (p / "run.json").exists()]
     if not baseline_file.exists() or not impact_file.exists() or len(private_files) != 1:
         raise DataError(f"not a completed run directory: {path}")
-    return {
-        "baseline": json.loads(baseline_file.read_text(encoding="utf-8")),
-        "private": json.loads(private_files[0].read_text(encoding="utf-8")),
-        "impact": json.loads(impact_file.read_text(encoding="utf-8")),
-    }
+    return {"baseline": _read_run(baseline_file), "private": _read_run(private_files[0]),
+            "impact": _read_impact(impact_file)}
 
 
 def cmd_compare(args) -> int:
     runs = [_load_run_dir(Path(d)) for d in args.run_dirs]
-    digests = {r["private"]["dataset_fingerprint"] for r in runs} | \
-              {r["baseline"]["dataset_fingerprint"] for r in runs}
+    digests = {str(r[side]["fingerprint"]) for r in runs for side in ("private", "baseline")}
     if len(digests) != 1:
         raise DataError(f"dataset fingerprint mismatch across runs: {sorted(digests)}")
 
-    base_report = runs[0]["baseline"]["test_report"]
-    names = [g["name"] for g in base_report["groups"]]
+    baseline = runs[0]["baseline"]
+    names = list(baseline["accuracy"])
 
-    def table_row(label, report, impact, epsilon, iterations):
-        accs = {g["name"]: g["accuracy"] for g in report["groups"]}
-        deltas = impact["delta_by_group"] if impact else {n: 0.0 for n in names}
-        overall_delta = impact["overall_delta"] if impact else 0.0
-        gap = impact["max_pairwise_gap"] if impact else 0.0
-        return ([label, epsilon, iterations, report["overall_accuracy"]]
-                + [accs[n] for n in names] + [overall_delta]
-                + [deltas[n] for n in names] + [gap])
+    no_impact = {"path": None, "delta": dict.fromkeys(names, 0.0),
+                 "overall_delta": 0.0, "max_pairwise_gap": 0.0}
+
+    def table_row(label, epsilon, run, impact):
+        with _run_file(run["path"]):
+            accs = [run["accuracy"][n] for n in names]
+        with _run_file(impact["path"]):
+            deltas = [impact["delta"][n] for n in names]
+        return ([label, epsilon, run["iterations"], run["overall_accuracy"]] + accs
+                + [impact["overall_delta"]] + deltas + [impact["max_pairwise_gap"]])
 
     header = (["strategy", "epsilon", "iterations", "accuracy_total"]
               + [f"accuracy_{n}" for n in names] + ["delta_total"]
               + [f"delta_{n}" for n in names] + ["max_gap"])
-    rows = [table_row("sgd", base_report, None, None,
-                      runs[0]["baseline"]["iterations_executed"])]
-    for run in runs:
-        rows.append(table_row(run["private"]["strategy"], run["private"]["test_report"],
-                              run["impact"], run["private"]["epsilon"],
-                              run["private"]["iterations_executed"]))
+    rows = [table_row("sgd", None, baseline, no_impact)]
+    rows += [table_row(r["private"]["strategy"], r["private"]["epsilon"], r["private"],
+                       r["impact"]) for r in runs]
 
     def write_table(fh):
         writer = csv.writer(fh)
@@ -576,7 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "privacy-impact reporting.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prepare-data", help="build and cache the configured dataset")
+    p = sub.add_parser("prepare-data",
+                       help="build the configured dataset and write its summary "
+                            "(fingerprint and group sizes) to prepared.json")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="output directory (default: report out_dir)")
     p.set_defaults(func=cmd_prepare_data)

@@ -6,10 +6,10 @@ label files, and synthetic two-group Gaussian mixtures. All operations are
 pure functions of their inputs and seeds, so datasets can be rebuilt and
 shared across threads freely.
 
-Cache format (little-endian): header of four u64 fields (rows, feature dim,
-group count, class count), then the feature matrix as row-major f64, the
-labels as u32, and the groups as u32. Group names are not stored; loading a
-cache yields generic names ``group0..groupK-1``.
+Fingerprint layout: ``fingerprint`` is the SHA-256 of these little-endian
+bytes: a header of four u64 fields (rows, feature dim, group count, class
+count), then the feature matrix as row-major f64, the labels as u32, and
+the groups as u32. Group names are not part of it.
 """
 
 from __future__ import annotations
@@ -138,6 +138,14 @@ class ImbalanceSpec:
             raise DataError("target_size must be positive")
 
 
+def _open(path, mode: str, **kwargs):
+    """``open``, with an unopenable file reported as a DataError."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise DataError(f"cannot open '{path}': {exc}") from exc
+
+
 def load_census_csv(path, schema: Sequence[tuple[str, str]], header: bool = False) -> RawTable:
     """Parse a comma-separated UTF-8 file against a declared schema.
 
@@ -161,11 +169,7 @@ def load_census_csv(path, schema: Sequence[tuple[str, str]], header: bool = Fals
     names = [name for name, _ in schema]
     raw: list[list] = [[] for _ in schema]
     count = 0
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open '{path}': {exc}") from exc
-    with fh:
+    with _open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for line_no, row in enumerate(reader, start=1):
             if not row:
@@ -277,12 +281,12 @@ def load_idx(images_path, labels_path) -> Dataset:
     Pixels are scaled to [0, 1] by dividing by 255. The class labels double
     as the group labels (one group per digit class).
     """
-    with open(images_path, "rb") as fh:
+    with _open(images_path, "rb") as fh:
         magic, count, rows, cols = struct.unpack(">4I", _read_exact(fh, 16, images_path))
         if magic != IDX_IMAGES_MAGIC:
             raise DataError(f"bad magic 0x{magic:08x} in image file '{images_path}'")
         pixels = np.frombuffer(_read_exact(fh, count * rows * cols, images_path), dtype=np.uint8)
-    with open(labels_path, "rb") as fh:
+    with _open(labels_path, "rb") as fh:
         magic, label_count = struct.unpack(">2I", _read_exact(fh, 8, labels_path))
         if magic != IDX_LABELS_MAGIC:
             raise DataError(f"bad magic 0x{magic:08x} in label file '{labels_path}'")
@@ -377,7 +381,7 @@ def synth_two_group(n_major: int, n_minor: int, dim: int,
 
 
 def dataset_to_bytes(data: Dataset) -> bytes:
-    """Serialize to the documented little-endian cache format."""
+    """Serialize to the documented little-endian fingerprint layout."""
     header = _CACHE_HEADER.pack(data.n, data.dim, data.num_groups, data.num_classes)
     return b"".join((
         header,
@@ -385,31 +389,6 @@ def dataset_to_bytes(data: Dataset) -> bytes:
         data.labels.astype("<u4").tobytes(),
         data.groups.astype("<u4").tobytes(),
     ))
-
-
-def save_dataset(data: Dataset, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(dataset_to_bytes(data))
-
-
-def load_dataset(path) -> Dataset:
-    """Read a cache file; group names come back as generic ``groupK``."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _CACHE_HEADER.size:
-        raise DataError(f"truncated dataset cache: '{path}'")
-    n, dim, num_groups, num_classes = _CACHE_HEADER.unpack_from(blob)
-    expected = _CACHE_HEADER.size + 8 * n * dim + 4 * n + 4 * n
-    if len(blob) != expected:
-        raise DataError(f"dataset cache has {len(blob)} bytes, expected {expected}")
-    off = _CACHE_HEADER.size
-    features = np.frombuffer(blob, dtype="<f8", count=n * dim, offset=off).reshape(n, dim)
-    off += 8 * n * dim
-    labels = np.frombuffer(blob, dtype="<u4", count=n, offset=off).astype(np.int64)
-    off += 4 * n
-    groups = np.frombuffer(blob, dtype="<u4", count=n, offset=off).astype(np.int64)
-    names = tuple(f"group{k}" for k in range(num_groups))
-    return Dataset(features.copy(), labels, groups, names, int(num_classes))
 
 
 def fingerprint(data: Dataset) -> str:

@@ -5,7 +5,8 @@ private model's report against a non-private baseline and tests whether the
 per-group accuracy drops stay within a threshold of each other. The
 within-model gaps (demographic parity, equalized odds) treat the decision
 as binary: predicted-positive means the argmax class equals a designated
-positive class.
+positive class. They read the predictions of a ``GroupReport``, so each
+model's test set is evaluated once.
 
 All metrics are pure and invariant to row order. For more than two groups,
 pairwise definitions are summarized by the maximum gap over pairs.
@@ -24,13 +25,15 @@ from .errors import DataError
 
 @dataclass(frozen=True)
 class GroupReport:
-    """Per-group test accuracy and mean loss, plus the overall accuracy."""
+    """Per-group test accuracy and mean loss, the overall accuracy, and
+    each row's predicted class, which the fairness gaps read."""
 
     group_names: tuple[str, ...]
     accuracy: np.ndarray
     mean_loss: np.ndarray
     counts: np.ndarray
     overall_accuracy: float
+    predictions: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -44,18 +47,26 @@ class ImpactReport:
     passes: bool
 
 
-def group_report(spec: model.ModelSpec, params: np.ndarray, data) -> GroupReport:
-    """Exact per-group accuracy and mean (regularized) loss on a dataset."""
+def evaluation_counts(data) -> np.ndarray:
+    """Per-group row counts of evaluation data; a DataError names every
+    group with no row, since its metrics would be undefined."""
     counts = data.group_sizes()
     if np.any(counts == 0):
         missing = [data.group_names[k] for k in np.flatnonzero(counts == 0)]
         raise DataError(f"empty group(s) in evaluation data: {missing}")
+    return counts
+
+
+def group_report(spec: model.ModelSpec, params: np.ndarray, data) -> GroupReport:
+    """Exact per-group accuracy and mean (regularized) loss on a dataset."""
+    counts = evaluation_counts(data)
     predictions, losses = model.predictions_and_losses(spec, params, data)
     correct = (predictions == data.labels).astype(np.float64)
     num_groups = data.num_groups
     acc = np.bincount(data.groups, weights=correct, minlength=num_groups) / counts
     loss = np.bincount(data.groups, weights=losses, minlength=num_groups) / counts
-    return GroupReport(data.group_names, acc, loss, counts, float(correct.mean()))
+    return GroupReport(data.group_names, acc, loss, counts, float(correct.mean()),
+                       predictions)
 
 
 def _max_pairwise_gap(values: np.ndarray) -> float:
@@ -79,45 +90,37 @@ def privacy_impact(private: GroupReport, nonprivate: GroupReport, tau: float) ->
     return ImpactReport(private.group_names, delta, gap, tau, bool(gap <= tau))
 
 
-def _positive_hits(spec, params, data, positive_class) -> np.ndarray:
-    """1.0 where a row's predicted class is the positive class, else 0.0."""
-    preds = np.argmax(model.forward(spec, params, data.features), axis=1)
-    return (preds == positive_class).astype(np.float64)
+def _positive_rates(hit: np.ndarray, data, condition=None) -> np.ndarray:
+    """Per-group mean of ``hit`` among the rows where ``condition`` holds,
+    NaN for a group with no such row."""
+    rows = slice(None) if condition is None else condition
+    groups, hit = data.groups[rows], hit[rows]
+    counts = np.bincount(groups, minlength=data.num_groups)
+    with np.errstate(invalid="ignore"):
+        return np.bincount(groups, weights=hit, minlength=data.num_groups) / counts
 
 
-def _positive_rates(hit, data, condition=None):
-    """Per-group mean of ``hit`` among the rows where ``condition`` holds."""
-    mask = np.ones(data.n, dtype=bool) if condition is None else condition
-    rates = np.full(data.num_groups, np.nan)
-    for k in range(data.num_groups):
-        sel = mask & (data.groups == k)
-        if sel.any():
-            rates[k] = hit[sel].mean()
-    return rates
-
-
-def demographic_parity_gap(spec: model.ModelSpec, params: np.ndarray, data,
-                           positive_class: int = 1) -> float:
-    """Largest pairwise difference in positive-prediction rates."""
-    if np.any(data.group_sizes() == 0):
-        raise DataError("empty group in evaluation data")
-    hit = _positive_hits(spec, params, data, positive_class)
+def demographic_parity_gap(predictions: np.ndarray, data, positive_class: int = 1) -> float:
+    """Largest pairwise difference in positive-prediction rates, from each
+    row's predicted class (``GroupReport.predictions``)."""
+    evaluation_counts(data)
+    hit = (predictions == positive_class).astype(np.float64)
     return _max_pairwise_gap(_positive_rates(hit, data))
 
 
-def equalized_odds_gaps(spec: model.ModelSpec, params: np.ndarray, data,
+def equalized_odds_gaps(predictions: np.ndarray, data,
                         positive_class: int = 1) -> tuple[float, float]:
-    """Largest pairwise TPR gap and FPR gap across groups.
+    """Largest pairwise TPR gap and FPR gap across groups, from each row's
+    predicted class (``GroupReport.predictions``).
 
     A group missing one label value has its rate undefined (NaN) and is
     excluded from the pairwise maxima; one warning per undefined rate names
     every such group. If fewer than two groups remain defined, the gap
     itself is NaN.
     """
-    if np.any(data.group_sizes() == 0):
-        raise DataError("empty group in evaluation data")
+    evaluation_counts(data)
     is_positive = data.labels == positive_class
-    hit = _positive_hits(spec, params, data, positive_class)
+    hit = (predictions == positive_class).astype(np.float64)
     tpr = _positive_rates(hit, data, is_positive)
     fpr = _positive_rates(hit, data, ~is_positive)
     for rates, label, rate in ((tpr, "positive", "TPR"), (fpr, "negative", "FPR")):

@@ -187,14 +187,6 @@ def predictions_and_losses(spec: ModelSpec, params: np.ndarray,
     return np.argmax(probs, axis=1), losses
 
 
-def per_sample_losses(spec: ModelSpec, params: np.ndarray, batch) -> np.ndarray:
-    """Each sample's regularized loss, without building any gradient.
-
-    Equal bit for bit to ``per_sample_grads(spec, params, batch).losses``.
-    """
-    return predictions_and_losses(spec, params, batch)[1]
-
-
 def _layer_factors(spec: ModelSpec, params: np.ndarray, batch):
     """One forward/backward pass: losses, predictions and each layer's factors.
 
@@ -320,7 +312,8 @@ def load_params(path) -> tuple[ModelSpec, np.ndarray]:
     if code not in kinds:
         raise DataError(f"unknown model kind code {code} in '{path}'")
     spec = ModelSpec(kinds[code], input_dim, num_classes, l2, hidden)
-    values = np.frombuffer(blob, dtype="<f8", offset=_PARAMS_HEADER.size)
-    if values.shape != (spec.param_count,):
-        raise DataError(f"params file has {values.size} values, expected {spec.param_count}")
-    return spec, values.copy()
+    size = len(blob) - _PARAMS_HEADER.size
+    if size != 8 * spec.param_count:  # also a trailing partial value
+        raise DataError(f"params file '{path}' has {size} bytes of values, "
+                        f"expected {8 * spec.param_count}")
+    return spec, np.frombuffer(blob, dtype="<f8", offset=_PARAMS_HEADER.size).copy()

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairdp.analysis import cost_bounds, empirical_error, optimal_clip
+from fairdp.analysis import cost_bounds, optimal_clip
 from fairdp.clipping import (GroupAdaptive, NaiveReweight, NonPrivate, Uniform,
                              row_factors)
 from fairdp.dataio import (Batch, RawTable, load_census_csv, preprocess_census,
@@ -22,6 +22,7 @@ from fairdp.metrics import privacy_impact
 from fairdp.model import ModelSpec, init_params, per_sample_grads
 from fairdp.privacy import MechanismEvent, PrivacyLedger, compose, to_epsilon
 from fairdp.trainer import TrainConfig, dp_step, sample_batch, train, train_nonprivate
+from monte_carlo import empirical_error
 
 ADULT_CSV = os.environ.get("ADULT_CSV", "data/adult.data")
 

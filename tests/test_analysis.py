@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fairdp.analysis import cost_bounds, empirical_error, optimal_clip
+from fairdp.analysis import cost_bounds, optimal_clip
+from monte_carlo import empirical_error
 
 
 def upper_envelope(norms, bound, eps):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -261,6 +262,42 @@ class TestTrainCommand:
         assert run["iterations_executed"] == 3500 // 256
         assert 0.0 < run["epsilon"] < 0.1
 
+    def test_empty_test_group_rejected_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        # n_minor = 1 splits as train [3325, 1], test [1425, 0]
+        fits = []
+        monkeypatch.setattr(cli.trainer, "train", lambda *a: fits.append("private"))
+        monkeypatch.setattr(cli.trainer, "train_nonprivate", lambda *a: fits.append("sgd"))
+        text = (Path(__file__).resolve().parent.parent / "configs" / "synth-dpsgd.ini").read_text()
+        text = mutate(text, "dataset", "n_minor", 1)
+        text = mutate(text, "training", "epochs", 3)
+        text = mutate(text, "report", "out_dir", tmp_path / "out")
+        path = tmp_path / "minor1.ini"
+        path.write_text(text, encoding="utf-8")
+        assert main(["train", "--config", str(path)]) == 3
+        assert fits == []
+        assert capsys.readouterr().err == \
+            "data error: empty group(s) in evaluation data: ['minor']\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("missing", ["images", "labels"])
+    def test_missing_idx_file_is_data_error(self, tmp_path, capsys, missing):
+        paths = {"images": tmp_path / "images.idx", "labels": tmp_path / "labels.idx"}
+        paths["images"].write_bytes(struct.pack(">4I", 0x803, 2, 1, 1) + bytes(2))
+        paths["labels"].write_bytes(struct.pack(">2I", 0x801, 2) + bytes([0, 1]))
+        paths[missing] = tmp_path / "absent.idx"
+        text = MINIMAL_SYNTH.format(strategy="dpsgd", out_dir=tmp_path / "out")
+        for key in ("n_major", "n_minor", "dim", "separation_major", "separation_minor"):
+            text = mutate(text, "dataset", key, None)
+        text = mutate(text, "dataset", "kind", "idx")
+        for key, value in paths.items():
+            text = mutate(text, "dataset", key, value)
+        path = tmp_path / "idx.ini"
+        path.write_text(text, encoding="utf-8")
+        assert main(["train", "--config", str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"data error: cannot open '{tmp_path / 'absent.idx'}'")
+
 
 class TestAccountantCommand:
     def test_json_output(self, capsys):
@@ -403,14 +440,15 @@ class TestAnalyzeCommand:
 
 
 class TestPrepareDataCommand:
-    def test_writes_caches_and_summary(self, tmp_path, capsys):
+    def test_writes_only_the_summary(self, tmp_path, capsys):
         out = tmp_path / "prep"
         path = write_config(tmp_path, tmp_path / "unused")
         code = main(["prepare-data", "--config", str(path), "--out", str(out)])
         assert code == 0
-        for name in ("dataset.bin", "train.bin", "test.bin", "prepared.json"):
-            assert (out / name).exists()
+        assert sorted(p.name for p in out.iterdir()) == ["prepared.json"]
         summary = json.loads(capsys.readouterr().out)
+        assert summary == json.loads((out / "prepared.json").read_text())
+        assert summary["fingerprint"] == cli.build_dataset(load_config(path)["dataset"])[3]
         assert summary["rows"] == 160
         assert summary["group_sizes"] == {"major": 120, "minor": 40}
 
@@ -460,6 +498,33 @@ class TestCompareCommand:
         code = main(["compare", str(out1), str(out3)])
         assert code == 3
         assert "fingerprint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["nonprivate/run.json", "dpsgd/run.json", "impact.json"])
+    def test_invalid_json_names_the_file(self, tmp_path, capsys, name):
+        out1 = tmp_path / "r1"
+        main(["train", "--config", str(write_config(tmp_path, out1))])
+        (out1 / name).write_text('{"strategy": "dpsgd",', encoding="utf-8")
+        capsys.readouterr()
+        assert main(["compare", str(out1)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("data error: ") and str(out1 / name) in err[0]
+
+    @pytest.mark.parametrize("name, key", [("dpsgd/run.json", "dataset_fingerprint"),
+                                           ("nonprivate/run.json", "test_report"),
+                                           ("impact.json", "delta_by_group")])
+    def test_missing_key_names_the_file(self, tmp_path, capsys, name, key):
+        out1 = tmp_path / "r1"
+        main(["train", "--config", str(write_config(tmp_path, out1))])
+        obj = json.loads((out1 / name).read_text())
+        del obj[key]
+        (out1 / name).write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["compare", str(out1)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("data error: ") and str(out1 / name) in err[0]
+        assert key in err[0]
 
     def test_missing_dir_listed(self, tmp_path, capsys):
         code = main(["compare", str(tmp_path / "absent")])

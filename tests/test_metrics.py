@@ -3,7 +3,7 @@ import pytest
 
 from fairdp.dataio import Dataset
 from fairdp.errors import DataError
-from fairdp.metrics import (GroupReport, demographic_parity_gap,
+from fairdp.metrics import (GroupReport, _positive_rates, demographic_parity_gap,
                             equalized_odds_gaps, group_report, privacy_impact)
 from fairdp.model import ModelSpec, forward
 
@@ -22,6 +22,11 @@ def perfect_params():
 SPEC1D = ModelSpec.softmax(1, 2)
 
 
+def predicted(spec, params, data):
+    """Each row's predicted class, as the fairness gaps read it."""
+    return group_report(spec, params, data).predictions
+
+
 def labeled_1d(labels, groups):
     labels = np.asarray(labels)
     x = (2.0 * labels - 1.0)[:, None]
@@ -32,7 +37,8 @@ def report_from(acc, counts, names=("g0", "g1")):
     acc = np.asarray(acc, dtype=float)
     counts = np.asarray(counts)
     overall = float((acc * counts).sum() / counts.sum())
-    return GroupReport(tuple(names), acc, np.zeros_like(acc), counts, overall)
+    return GroupReport(tuple(names), acc, np.zeros_like(acc), counts, overall,
+                       np.zeros(0, dtype=np.int64))
 
 
 class TestGroupReport:
@@ -67,6 +73,16 @@ class TestGroupReport:
         data = labeled_1d([0, 1], [0, 0])
         with pytest.raises(DataError, match="g1"):
             group_report(SPEC1D, perfect_params(), data)
+
+    def test_predictions_are_argmax_of_forward(self):
+        rng = np.random.default_rng(3)
+        spec = ModelSpec.mlp(3, 5, 4, l2=0.01)
+        data = Dataset(rng.standard_normal((40, 3)), rng.integers(0, 4, 40),
+                       np.arange(40) % 2, ("g0", "g1"), 4)
+        params = rng.standard_normal(spec.param_count)
+        rep = group_report(spec, params, data)
+        np.testing.assert_array_equal(
+            rep.predictions, np.argmax(forward(spec, params, data.features), axis=1))
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(4)
@@ -150,26 +166,34 @@ def max_gap(values):
 
 
 class TestFairnessGaps:
+    def test_empty_group_rejected(self):
+        data = labeled_1d([0, 1], [0, 0])
+        predictions = np.array([0, 1])
+        with pytest.raises(DataError, match="empty group"):
+            demographic_parity_gap(predictions, data)
+        with pytest.raises(DataError, match="empty group"):
+            equalized_odds_gaps(predictions, data)
+
     def test_constant_classifier_has_zero_parity_gap(self):
         data = labeled_1d([0, 1, 0, 1], [0, 0, 1, 1])
         params = np.array([0.0, 0.0, 10.0, 0.0])  # always predicts class 0
-        assert demographic_parity_gap(SPEC1D, params, data) == 0.0
+        assert demographic_parity_gap(predicted(SPEC1D, params, data), data) == 0.0
 
     def test_opposite_groups_gap_one(self):
         x = np.array([[1.0], [1.0], [-1.0], [-1.0]])
         data = make_data(x, [1, 1, 0, 0], [0, 0, 1, 1])
         # predicts 1 for group 0 rows (x > 0), 0 for group 1 rows
-        assert demographic_parity_gap(SPEC1D, perfect_params(), data) == 1.0
+        assert demographic_parity_gap(predicted(SPEC1D, perfect_params(), data), data) == 1.0
 
     def test_perfect_classifier_zero_odds_gaps(self):
         data = labeled_1d([0, 1, 0, 1], [0, 0, 1, 1])
-        assert equalized_odds_gaps(SPEC1D, perfect_params(), data) == (0.0, 0.0)
+        assert equalized_odds_gaps(predicted(SPEC1D, perfect_params(), data), data) == (0.0, 0.0)
 
     def test_inverted_group_odds_gap_one(self):
         # classifier equals the label for group 0, inverted for group 1
         x = np.array([[1.0], [-1.0], [-1.0], [1.0]])
         data = make_data(x, [1, 0, 1, 0], [0, 0, 1, 1])
-        tpr_gap, fpr_gap = equalized_odds_gaps(SPEC1D, perfect_params(), data)
+        tpr_gap, fpr_gap = equalized_odds_gaps(predicted(SPEC1D, perfect_params(), data), data)
         assert (tpr_gap, fpr_gap) == (1.0, 1.0)
 
     def test_matches_enumeration_oracle(self):
@@ -188,24 +212,44 @@ class TestFairnessGaps:
             preds = np.argmax(forward(spec, params, x), axis=1)
             pos_rate, tpr, fpr = brute_force_rates(preds, labels, groups, 1,
                                                    num_groups)
-            got_dp = demographic_parity_gap(spec, params, data)
+            got_dp = demographic_parity_gap(predicted(spec, params, data), data)
             assert got_dp == pytest.approx(max_gap(pos_rate), abs=1e-12)
             import warnings
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                got_tpr, got_fpr = equalized_odds_gaps(spec, params, data)
+                got_tpr, got_fpr = equalized_odds_gaps(predicted(spec, params, data), data)
             for got, want in ((got_tpr, max_gap(tpr)), (got_fpr, max_gap(fpr))):
                 if np.isnan(want):
                     assert np.isnan(got)
                 else:
                     assert got == pytest.approx(want, abs=1e-12)
 
+    def test_rates_equal_per_group_loop(self):
+        # the one masked bincount against the per-group loop it replaced,
+        # bit for bit: 0/1 sums are exact, so each rate is the same division
+        rng = np.random.default_rng(12)
+        for trial in range(30):
+            n, num_groups = int(rng.integers(6, 50)), int(rng.integers(2, 5))
+            groups = np.concatenate([np.arange(num_groups),
+                                     rng.integers(0, num_groups, n - num_groups)])
+            data = Dataset(np.zeros((n, 1)), rng.integers(0, 2, n), groups,
+                           tuple(f"g{k}" for k in range(num_groups)), 2)
+            hit = rng.integers(0, 2, n).astype(np.float64)
+            for condition in (None, data.labels == 1, data.labels == 0):
+                mask = np.ones(n, dtype=bool) if condition is None else condition
+                loop = np.full(num_groups, np.nan)
+                for k in range(num_groups):
+                    sel = mask & (groups == k)
+                    if sel.any():
+                        loop[k] = hit[sel].mean()
+                np.testing.assert_array_equal(_positive_rates(hit, data, condition), loop)
+
     def test_missing_label_value_warns_and_excludes(self):
         # groups 1 and 2 have no positive labels: their TPRs are undefined
         x = np.array([[1.0], [-1.0], [-1.0], [-1.0], [-1.0]])
         data = make_data(x, [1, 0, 0, 0, 0], [0, 0, 1, 1, 2], num_groups=3)
         with pytest.warns(UserWarning) as record:
-            tpr_gap, fpr_gap = equalized_odds_gaps(SPEC1D, perfect_params(), data)
+            tpr_gap, fpr_gap = equalized_odds_gaps(predicted(SPEC1D, perfect_params(), data), data)
         assert len(record) == 1  # one warning per undefined rate, not per group
         message = str(record[0].message)
         assert "no positive labels" in message

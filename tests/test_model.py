@@ -5,7 +5,7 @@ from fairdp.dataio import Batch, Dataset
 from fairdp.errors import DataError
 from fairdp.metrics import group_report
 from fairdp.model import (GradStream, ModelSpec, forward, init_params,
-                          load_params, per_sample_grads, per_sample_losses,
+                          load_params, per_sample_grads, predictions_and_losses,
                           save_params)
 
 
@@ -111,7 +111,7 @@ class TestPerSampleLosses:
         spec = ModelSpec.softmax(6, 3, l2=0.05) if kind == "softmax" \
             else ModelSpec.mlp(6, 5, 3, l2=0.05)
         params = init_params(spec, seed=2) + 0.3 * rng.standard_normal(spec.param_count)
-        np.testing.assert_array_equal(per_sample_losses(spec, params, batch),
+        np.testing.assert_array_equal(predictions_and_losses(spec, params, batch)[1],
                                       per_sample_grads(spec, params, batch).losses)
 
 
@@ -324,4 +324,12 @@ class TestSerialization:
         save_params(path, spec, init_params(spec))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataError):
+            load_params(path)
+
+    def test_trailing_partial_value_rejected(self, tmp_path):
+        spec = ModelSpec.softmax(3, 2)
+        path = tmp_path / "params.bin"
+        save_params(path, spec, init_params(spec))
+        path.write_bytes(path.read_bytes() + b"\x00\x01\x02")
+        with pytest.raises(DataError, match="bytes of values"):
             load_params(path)

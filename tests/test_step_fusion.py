@@ -14,7 +14,7 @@ from fairdp.clipping import GroupAdaptive, NaiveReweight, Uniform, apply_strateg
 from fairdp.dataio import Batch, Dataset
 from fairdp.metrics import group_report
 from fairdp.model import (GradStream, ModelSpec, forward, init_params, per_sample_grads,
-                          per_sample_losses, predictions_and_losses)
+                          predictions_and_losses)
 
 NUM_GROUPS = 3
 SPECS = {
@@ -69,7 +69,6 @@ class TestModelPass:
             np.testing.assert_array_equal(forward(spec, params, batch.features), probs)
             np.testing.assert_array_equal(forward(spec, params, batch.features[0]),
                                           ref.forward(spec, params, batch.features[:1])[0])
-            np.testing.assert_array_equal(per_sample_losses(spec, params, batch), losses)
             predictions, fused_losses = predictions_and_losses(spec, params, batch)
             np.testing.assert_array_equal(predictions, np.argmax(probs, axis=1))
             np.testing.assert_array_equal(fused_losses, losses)

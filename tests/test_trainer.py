@@ -9,7 +9,7 @@ from fairdp.clipping import (GroupAdaptive, NaiveReweight, NonPrivate, Uniform,
 from fairdp.dataio import Batch, Dataset, synth_two_group, split
 from fairdp.errors import NumericError
 from fairdp.model import (GradStream, ModelSpec, init_params, per_sample_grads,
-                          per_sample_losses)
+                          predictions_and_losses)
 from fairdp.privacy import MechanismEvent, PrivacyLedger, compose
 from fairdp.trainer import (TrainConfig, dp_step, group_train_stats,
                             private_mean_gradient, resolve_learning_rate,
@@ -138,7 +138,7 @@ class TestDpStep:
         # at the zero initial weights the loss stays finite; only the
         # squared norm of this row overflows
         bad = Batch(np.array([[1e200, 0.0, 0.0, 0.0]]), np.array([0]), np.array([0]))
-        assert np.isfinite(per_sample_losses(self.spec, self.params, bad)).all()
+        assert np.isfinite(predictions_and_losses(self.spec, self.params, bad)[1]).all()
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             dp_step(self.spec, self.params, bad, Uniform(1.0), 0.0, 0.1, 0.1,
                     np.random.default_rng(0), np.random.default_rng(1),
