@@ -30,7 +30,7 @@ from . import analysis, dataio, metrics, privacy, trainer
 from .clipping import GroupAdaptive, NaiveReweight, Uniform
 from .errors import ConfigError, DataError, NumericError
 from .model import ModelSpec, save_params
-from .privacy import ACCOUNTING_ASSUMPTION, MechanismEvent, PrivacyLedger
+from .privacy import ACCOUNTING_ASSUMPTION
 
 BASELINE_NAME = "nonprivate"
 
@@ -372,7 +372,9 @@ def cmd_train(args) -> int:
         raise ConfigError(f"[report] positive_class {positive_class} out of range")
     if tr["batch_size"] > train_data.n:
         raise ConfigError(f"[training] batch_size exceeds the {train_data.n} training rows")
-    metrics.evaluation_counts(test_data)  # fail on an empty test group before any fit
+    # fail on an empty group in either split before any fit
+    metrics.evaluation_counts(train_data, "the training split")
+    metrics.evaluation_counts(test_data)
 
     baseline = trainer.train_nonprivate(config, train_data, test_data)
     private = trainer.train(config, train_data, test_data)
@@ -443,10 +445,8 @@ def cmd_accountant(args) -> int:
         raise ConfigError("sigma1 must be positive and finite when given")
     iterations = args.epochs * (args.n // args.batch_size)
     q = args.batch_size / args.n
-    ledger = PrivacyLedger([MechanismEvent(args.sigma, q, iterations)])
-    if args.sigma1 is not None:
-        ledger.append(MechanismEvent(args.sigma1, q, iterations))
-    epsilon, best_order = privacy.to_epsilon(privacy.compose(ledger), args.delta)
+    curve = trainer.step_rdp_curve(args.sigma1 or 0.0, args.sigma, q)
+    epsilon, best_order = privacy.to_epsilon(curve, args.delta, iterations)
     print(json.dumps(_sanitize({
         "epsilon": epsilon, "best_order": best_order, "iterations": iterations,
         "sampling_rate": q, "delta": args.delta, "noise_multiplier": args.sigma,

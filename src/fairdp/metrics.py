@@ -47,13 +47,13 @@ class ImpactReport:
     passes: bool
 
 
-def evaluation_counts(data) -> np.ndarray:
-    """Per-group row counts of evaluation data; a DataError names every
-    group with no row, since its metrics would be undefined."""
+def evaluation_counts(data, what: str = "evaluation data") -> np.ndarray:
+    """Per-group row counts of ``data``; a DataError names ``what`` and
+    every group with no row, since its metrics would be undefined."""
     counts = data.group_sizes()
     if np.any(counts == 0):
         missing = [data.group_names[k] for k in np.flatnonzero(counts == 0)]
-        raise DataError(f"empty group(s) in evaluation data: {missing}")
+        raise DataError(f"empty group(s) in {what}: {missing}")
     return counts
 
 

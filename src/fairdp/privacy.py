@@ -1,11 +1,13 @@
 """Renyi-DP accounting for (sub)sampled Gaussian mechanisms.
 
-Each training step that touches data through a Gaussian mechanism is
-recorded as a ``MechanismEvent`` (noise multiplier, sampling rate, step
-count) in a ``PrivacyLedger``. ``compose`` coalesces identical events,
-evaluates each one's RDP curve over the whole grid of orders in one call,
-and sums the curves linearly; ``to_epsilon`` converts the curve into an
-(epsilon, delta) guarantee by minimizing over orders.
+A Gaussian mechanism that touches data is described by a
+``MechanismEvent`` (noise multiplier, sampling rate, step count).
+``compose`` coalesces the events that share a noise multiplier and a
+sampling rate (adding their step counts), evaluates each coalesced event's
+RDP curve over the whole grid of orders in one call, and sums the curves
+linearly. ``to_epsilon`` scales a curve by a step count and converts it
+into an (epsilon, delta) guarantee by minimizing over orders, so one
+step's curve serves every step count of a run.
 
 For a sampling rate below one, the curve is the integer-order log-moment
 bound of the subsampled Gaussian (Abadi et al. 2016; Mironov, Talwar &
@@ -18,7 +20,8 @@ the usual Poisson-style approximation, tagged ``ACCOUNTING_ASSUMPTION``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,19 +52,6 @@ class MechanismEvent:
             raise ValueError("sampling_rate must be in (0, 1]")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-
-
-@dataclass
-class PrivacyLedger:
-    """Ordered record of mechanism events; append-only during training."""
-
-    events: list[MechanismEvent] = field(default_factory=list)
-
-    def append(self, event: MechanismEvent) -> None:
-        self.events.append(event)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 @dataclass(frozen=True)
@@ -144,16 +134,16 @@ def rdp_subsampled_gaussian(q: float, sigma: float, order):
     return eps if orders.ndim else float(eps[0])
 
 
-def compose(ledger: PrivacyLedger, orders=DEFAULT_ORDERS) -> RdpCurve:
-    """Linear composition of the ledger's events into one RDP curve.
+def compose(events: Sequence[MechanismEvent], orders=DEFAULT_ORDERS) -> RdpCurve:
+    """Linear composition of mechanism events into one RDP curve.
 
     Events sharing (noise multiplier, sampling rate) are coalesced, and each
     coalesced event's curve is evaluated over the whole grid in one call.
     """
-    if not ledger.events:
-        raise ValueError("cannot compose an empty ledger")
+    if not events:
+        raise ValueError("cannot compose an empty event list")
     totals: dict[tuple[float, float], int] = {}
-    for event in ledger.events:
+    for event in events:
         key = (event.noise_multiplier, event.sampling_rate)
         totals[key] = totals.get(key, 0) + event.steps
     orders_arr = np.asarray(orders, dtype=np.float64)
@@ -164,11 +154,12 @@ def compose(ledger: PrivacyLedger, orders=DEFAULT_ORDERS) -> RdpCurve:
     return RdpCurve(orders_arr, eps)
 
 
-def to_epsilon(curve: RdpCurve, delta: float) -> tuple[float, float]:
-    """Best (epsilon, order) over the curve's grid for a target delta."""
+def to_epsilon(curve: RdpCurve, delta: float, steps: int = 1) -> tuple[float, float]:
+    """Best (epsilon, order) over the grid for a target delta, after
+    ``steps`` compositions of ``curve``."""
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must be in (0, 1]")
-    candidates = curve.eps_rdp + math.log(1.0 / delta) / (curve.orders - 1.0)
+    candidates = steps * curve.eps_rdp + math.log(1.0 / delta) / (curve.orders - 1.0)
     best = int(np.argmin(candidates))
     return float(candidates[best]), float(curve.orders[best])
 

@@ -8,14 +8,16 @@ strategy-reduction equivalences exact.
 Each iteration draws a fresh without-replacement batch (an epoch is
 floor(n / batch_size) iterations), privatizes the per-sample gradients
 with the configured strategy, perturbs the clipped sum with Gaussian noise
-scaled to the strategy's effective sensitivity, and appends the step's
-mechanism events to the privacy ledger. A zero noise scale contributes no
-ledger event and draws nothing from its stream; such runs are only
-meaningful for equivalence testing.
+scaled to the strategy's effective sensitivity.
 
-With a budget target set, the accumulated epsilon is recomputed each
-iteration (one curve scale plus a minimum over orders) and the run stops
-at the last iteration whose epsilon still fits the target.
+Every iteration makes the same releases (``step_events``), so one step's
+RDP curve scaled by k gives the epsilon after k iterations. The budget
+check, each epoch row and the final epsilon all read it; the ledger is the
+coalesced record, one event per kind. A zero noise scale contributes no
+event and draws nothing from its stream; such runs are only meaningful
+for equivalence testing. With a budget target set, the epsilon after the
+next iteration is checked before it runs. So the reported epsilon is the
+last epoch row's, and a stopped run's never exceeds the target.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import NumericError
 from .model import GradStream, ModelSpec, init_params
 # perfbench/spans.py probes these bindings
 from .model import forward as model_forward, per_sample_grads  # noqa: F401
-from .privacy import MechanismEvent, PrivacyLedger, RdpCurve
+from .privacy import MechanismEvent
 
 INV_SQRT_TOTAL = "inv_sqrt_total"
 
@@ -84,7 +86,7 @@ class EpochLog:
 @dataclass
 class TrainResult:
     params: np.ndarray
-    ledger: PrivacyLedger
+    ledger: tuple[MechanismEvent, ...]  # one event per kind, steps = executed
     epoch_logs: list[EpochLog]
     test_report: metrics.GroupReport
     iterations_executed: int
@@ -118,30 +120,25 @@ def private_mean_gradient(grads: GradStream, factors: np.ndarray | None,
     return total / grads.rows
 
 
-def step_events(strategy: Union[ClipStrategy, NonPrivate], noise_multiplier: float,
+def step_events(count_noise_std: float, noise_multiplier: float,
                 sampling_rate: float) -> list[tuple[str, MechanismEvent]]:
-    """The (kind, event) pairs one iteration appends to the ledger, in order.
+    """The (kind, event) pairs of one iteration's releases, in order.
 
     The count-noise event comes first (group-aware strategies, unit
-    sensitivity), then the gradient-noise event. Events with a zero noise
-    scale are not recorded, and the non-private strategy records none.
+    sensitivity), then the gradient-noise event. A zero noise scale
+    records no event, so the non-private strategy, passed as (0, 0),
+    records none.
     """
-    if isinstance(strategy, NonPrivate):
-        return []
-    scales = (("count-noise", getattr(strategy, "count_noise_std", 0.0)),
-              ("gradient-noise", noise_multiplier))
+    scales = (("count-noise", count_noise_std), ("gradient-noise", noise_multiplier))
     return [(kind, MechanismEvent(scale, sampling_rate, 1))
             for kind, scale in scales if scale > 0.0]
 
 
 def dp_step(spec: ModelSpec, params: np.ndarray, batch,
             strategy: Union[ClipStrategy, NonPrivate], noise_multiplier: float,
-            lr: float, sampling_rate: float, count_rng: np.random.Generator,
-            noise_rng: np.random.Generator, ledger: PrivacyLedger,
+            lr: float, count_rng: np.random.Generator, noise_rng: np.random.Generator,
             num_groups: int) -> tuple[np.ndarray, ClipOutcome | None]:
     """One SGD update on a batch, privatized per the strategy.
-
-    Appends this step's mechanism events (``step_events``) to the ledger.
 
     Raises:
       NumericError: a non-finite per-sample gradient or loss was produced.
@@ -153,20 +150,16 @@ def dp_step(spec: ModelSpec, params: np.ndarray, batch,
         update = private_mean_gradient(grads, None, 0.0, 0.0, noise_rng)
         return params - lr * update, None
     outcome = apply_strategy(strategy, grads.norms, batch.groups, num_groups, count_rng)
-    for _, event in step_events(strategy, noise_multiplier, sampling_rate):
-        ledger.append(event)
     update = private_mean_gradient(grads, outcome.factors, outcome.sensitivity,
                                    noise_multiplier, noise_rng)
     return params - lr * update, outcome
 
 
-def step_rdp_curve(strategy, noise_multiplier: float, sampling_rate: float,
-                   orders=privacy.DEFAULT_ORDERS) -> np.ndarray | None:
+def step_rdp_curve(count_noise_std: float, noise_multiplier: float, sampling_rate: float,
+                   orders=privacy.DEFAULT_ORDERS) -> privacy.RdpCurve | None:
     """RDP curve of a single iteration's events; None if there are none."""
-    events = [event for _, event in step_events(strategy, noise_multiplier, sampling_rate)]
-    if not events:
-        return None
-    return privacy.compose(PrivacyLedger(events), orders).eps_rdp
+    events = [event for _, event in step_events(count_noise_std, noise_multiplier, sampling_rate)]
+    return privacy.compose(events, orders) if events else None
 
 
 def group_train_stats(spec: ModelSpec, params: np.ndarray, data):
@@ -192,11 +185,6 @@ def group_train_stats(spec: ModelSpec, params: np.ndarray, data):
         return loss_sum / counts, norm_sum / counts, correct / counts
 
 
-def _epsilon_after(step_curve: np.ndarray, steps: int, delta: float,
-                   orders: np.ndarray) -> tuple[float, float]:
-    return privacy.to_epsilon(RdpCurve(orders, steps * step_curve), delta)
-
-
 def resolve_learning_rate(lr, planned_iterations: int) -> float:
     """A numeric lr is used as-is; the inverse-sqrt rule is a constant
     1/sqrt(total planned iterations), not a per-step decay."""
@@ -208,9 +196,14 @@ def resolve_learning_rate(lr, planned_iterations: int) -> float:
 def train(config: TrainConfig, train_data, test_data) -> TrainResult:
     """Run the configured training loop end to end.
 
-    Returns the final parameters, the privacy ledger, the per-epoch group
-    logs, and the final per-group test report, plus bookkeeping (iteration
-    counts, event kinds, final epsilon at the config's delta).
+    Returns the final parameters, the coalesced privacy ledger, the
+    per-epoch group logs, and the final per-group test report, plus
+    bookkeeping (iteration counts, event kinds, final epsilon at the
+    config's delta).
+
+    A run stopped by the budget logs one more row, labelled with the last
+    epoch that ran an iteration (0 if none did), unless that epoch is
+    already logged.
     """
     n = train_data.n
     if config.batch_size > n:
@@ -227,9 +220,11 @@ def train(config: TrainConfig, train_data, test_data) -> TrainResult:
 
     spec = config.model
     params = init_params(spec, config.seed)
-    ledger = PrivacyLedger()
-    step_curve = step_rdp_curve(config.strategy, config.noise_multiplier, sampling_rate)
-    orders = np.asarray(privacy.DEFAULT_ORDERS, dtype=np.float64)
+    # the count-noise std and gradient noise multiplier of each step's releases
+    scales = ((0.0, 0.0) if isinstance(config.strategy, NonPrivate) else
+              (getattr(config.strategy, "count_noise_std", 0.0), config.noise_multiplier))
+    events = step_events(*scales, sampling_rate)
+    step_curve = step_rdp_curve(*scales, sampling_rate)
 
     logs: list[EpochLog] = []
     executed = 0
@@ -238,7 +233,7 @@ def train(config: TrainConfig, train_data, test_data) -> TrainResult:
     for epoch in range(1, config.epochs + 1):
         for _ in range(iters_per_epoch):
             if config.budget_target is not None and step_curve is not None:
-                eps_next, _ = _epsilon_after(step_curve, executed + 1, config.delta, orders)
+                eps_next, _ = privacy.to_epsilon(step_curve, config.delta, executed + 1)
                 if eps_next > config.budget_target:
                     stopped = True
                     break
@@ -246,27 +241,31 @@ def train(config: TrainConfig, train_data, test_data) -> TrainResult:
             try:
                 params, outcome = dp_step(
                     spec, params, train_data.take(idx), config.strategy,
-                    config.noise_multiplier, lr, sampling_rate,
-                    count_rng, noise_rng, ledger, train_data.num_groups)
+                    config.noise_multiplier, lr, count_rng, noise_rng,
+                    train_data.num_groups)
             except NumericError as exc:
                 raise NumericError(f"iteration {executed + 1}: {exc}") from exc
             if outcome is not None:
                 last_outcome = outcome
             executed += 1
-        if stopped or epoch % config.eval_every == 0 or epoch == config.epochs:
+        due = epoch % config.eval_every == 0 or epoch == config.epochs
+        if stopped:
+            epoch = -(-executed // iters_per_epoch)  # the last epoch that ran an iteration
+            due = not logs or logs[-1].epoch != epoch
+        if due:
             loss, norm, acc = group_train_stats(spec, params, train_data)
             epsilon = None
             if step_curve is not None and executed > 0:
-                epsilon = _epsilon_after(step_curve, executed, config.delta, orders)[0]
+                epsilon = privacy.to_epsilon(step_curve, config.delta, executed)[0]
             logs.append(EpochLog(epoch, loss, norm, acc, epsilon,
                                  last_outcome.report if last_outcome else None))
         if stopped:
             break
 
     final_epsilon = final_order = None
-    if ledger.events:
-        final_epsilon, final_order = privacy.to_epsilon(
-            privacy.compose(ledger), config.delta)
+    if step_curve is not None and executed > 0:
+        final_epsilon, final_order = privacy.to_epsilon(step_curve, config.delta, executed)
+    ledger = tuple(replace(event, steps=executed) for _, event in events) if executed else ()
     return TrainResult(
         params=params,
         ledger=ledger,
@@ -274,8 +273,7 @@ def train(config: TrainConfig, train_data, test_data) -> TrainResult:
         test_report=metrics.group_report(spec, params, test_data),
         iterations_executed=executed,
         iterations_planned=planned,
-        event_kinds=tuple(kind for kind, _ in step_events(
-            config.strategy, config.noise_multiplier, sampling_rate)),
+        event_kinds=tuple(kind for kind, _ in events),
         final_epsilon=final_epsilon,
         final_best_order=final_order,
         learning_rate=lr,

@@ -20,7 +20,7 @@ from fairdp.dataio import (Batch, RawTable, load_census_csv, preprocess_census,
                            split, synth_two_group)
 from fairdp.metrics import privacy_impact
 from fairdp.model import ModelSpec, init_params, per_sample_grads
-from fairdp.privacy import MechanismEvent, PrivacyLedger, compose, to_epsilon
+from fairdp.privacy import MechanismEvent, compose, to_epsilon
 from fairdp.trainer import TrainConfig, dp_step, sample_batch, train, train_nonprivate
 from monte_carlo import empirical_error
 
@@ -33,8 +33,7 @@ def report(name: str, detail: str = ""):
 
 def accountant_epsilon(n, batch_size, sigma, epochs, delta):
     iterations = epochs * (n // batch_size)
-    ledger = PrivacyLedger([MechanismEvent(sigma, batch_size / n, iterations)])
-    return to_epsilon(compose(ledger), delta)[0]
+    return to_epsilon(compose([MechanismEvent(sigma, batch_size / n, iterations)]), delta)[0]
 
 
 class TestCriterion1AccountantRegression:
@@ -63,12 +62,10 @@ class TestCriterion2ExactSgdEquivalence:
             noise_rng = np.random.default_rng(79)
             params = init_params(spec)
             trajectory = []
-            ledger = PrivacyLedger()
             for _ in range(iterations):
                 idx = sample_batch(data.n, 32, batch_rng)
                 params, _ = dp_step(spec, params, data.take(idx), strategy,
-                                    0.0, 0.2, 32 / data.n, count_rng, noise_rng,
-                                    ledger, data.num_groups)
+                                    0.0, 0.2, count_rng, noise_rng, data.num_groups)
                 trajectory.append(params)
             return trajectory
 
@@ -82,9 +79,8 @@ class TestCriterion2ExactSgdEquivalence:
 class TestCriterion3StrategyReductions:
     def _step(self, strategy, batch, spec, params, seed):
         new_params, _ = dp_step(
-            spec, params, batch, strategy, 0.7, 0.1, 0.05,
-            np.random.default_rng(seed + 1), np.random.default_rng(seed + 2),
-            PrivacyLedger(), 2)
+            spec, params, batch, strategy, 0.7, 0.1,
+            np.random.default_rng(seed + 1), np.random.default_rng(seed + 2), 2)
         return new_params
 
     def test_group_adaptive_reduction(self):
@@ -160,8 +156,7 @@ class TestCriterion5NoiseCalibration:
         updates = np.empty((10_000, spec.param_count))
         for i in range(updates.shape[0]):
             new_params, _ = dp_step(spec, params, batch, Uniform(bound), sigma2,
-                                    lr, 0.1, np.random.default_rng(0), noise_rng,
-                                    PrivacyLedger(), 1)
+                                    lr, np.random.default_rng(0), noise_rng, 1)
             updates[i] = new_params - params
         expected = lr * sigma2 * bound / rows
         got = updates.std(axis=0)

@@ -279,6 +279,24 @@ class TestTrainCommand:
             "data error: empty group(s) in evaluation data: ['minor']\n"
         assert not (tmp_path / "out").exists()
 
+    def test_empty_train_group_rejected_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        # n_minor = 1 with dataset seed 3 splits as train [3326, 0], test [1424, 1]
+        fits = []
+        monkeypatch.setattr(cli.trainer, "train", lambda *a: fits.append("private"))
+        monkeypatch.setattr(cli.trainer, "train_nonprivate", lambda *a: fits.append("sgd"))
+        text = (Path(__file__).resolve().parent.parent / "configs" / "synth-dpsgd-f.ini").read_text()
+        text = mutate(text, "dataset", "n_minor", 1)
+        text = mutate(text, "dataset", "seed", 3)
+        text = mutate(text, "training", "epochs", 2)
+        text = mutate(text, "report", "out_dir", tmp_path / "out")
+        path = tmp_path / "minor1.ini"
+        path.write_text(text, encoding="utf-8")
+        assert main(["train", "--config", str(path)]) == 3
+        assert fits == []
+        assert capsys.readouterr().err == \
+            "data error: empty group(s) in the training split: ['minor']\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("missing", ["images", "labels"])
     def test_missing_idx_file_is_data_error(self, tmp_path, capsys, missing):
         paths = {"images": tmp_path / "images.idx", "labels": tmp_path / "labels.idx"}
@@ -346,6 +364,69 @@ class TestAccountantCommand:
         out = json.loads(capsys.readouterr().out)
         assert 0.0 < out["epsilon"] < 0.03
         assert out["noise_multiplier"] == 1e8
+
+
+def last_epoch_rows(run_dir):
+    """The epoch label of each ``epochs.csv`` row, and the last row's epsilon."""
+    rows = [line.split(",") for line in
+            (run_dir / "epochs.csv").read_text(encoding="utf-8").splitlines()[1:]]
+    return [int(row[0]) for row in rows], float(rows[-1][-1])
+
+
+class TestReportedEpsilon:
+    """``run.json``'s epsilon is the last ``epochs.csv`` row's, bit for bit,
+    and a budget-stopped run never reports more than its target."""
+
+    # MINIMAL_SYNTH runs 2 epochs of 4 iterations; 17.0 stops every
+    # strategy at the end of epoch 1, 17.5 after 5 iterations
+    @pytest.mark.parametrize("target", [None, 17.0, 17.5])
+    @pytest.mark.parametrize("strategy", ["dpsgd", "naive", "dpsgd-f"])
+    def test_run_json_matches_last_epoch_row(self, tmp_path, capsys, strategy, target):
+        extra = "" if target is None else f"budget_target = {target!r}"
+        out = tmp_path / "out"
+        path = write_config(tmp_path, out, strategy=strategy, training_extra=extra)
+        assert main(["train", "--config", str(path)]) == 0
+        run = json.loads((out / strategy / "run.json").read_text())
+        epochs, last = last_epoch_rows(out / strategy)
+        assert run["epsilon"] == last
+        assert epochs[-1] == -(-run["iterations_executed"] // 4)  # the last epoch that ran
+        if target is not None:
+            assert 0 < run["iterations_executed"] < run["iterations_planned"]
+            assert run["epsilon"] <= target
+
+    def test_budget_stop_at_an_epoch_boundary(self, tmp_path, capsys):
+        # this target is the epsilon after 260 = 20 x 13 iterations, where
+        # the sum of the two mechanisms' composed curves rounds one bit higher
+        target = 11.379285748095082
+        text = (Path(__file__).resolve().parent.parent / "configs" / "synth-dpsgd-f.ini").read_text()
+        text = mutate(text, "training", "budget_target", repr(target))
+        text = mutate(text, "report", "out_dir", tmp_path / "out")
+        path = tmp_path / "boundary.ini"
+        path.write_text(text, encoding="utf-8")
+        assert main(["train", "--config", str(path)]) == 0
+        run = json.loads((tmp_path / "out" / "dpsgd-f" / "run.json").read_text())
+        epochs, last = last_epoch_rows(tmp_path / "out" / "dpsgd-f")
+        assert run["iterations_executed"] == 260
+        assert run["epsilon"] == last == target
+        # eval_every = 10: rows for epochs 10 and 20 only, no row for epoch 21
+        assert epochs == [10, 10, 20, 20]
+
+    def test_accountant_matches_unstopped_train(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--config",
+                     str(write_config(tmp_path, out, strategy="dpsgd-f"))]) == 0
+        run = json.loads((out / "dpsgd-f" / "run.json").read_text())
+        tr = run["config"]["training"]
+        assert run["iterations_executed"] == run["iterations_planned"]
+        capsys.readouterr()
+        assert main(["accountant", "--n", str(sum(run["train_sizes"].values())),
+                     "--batch-size", str(tr["batch_size"]), "--epochs", str(tr["epochs"]),
+                     "--sigma", repr(tr["sigma2"]), "--sigma1", repr(tr["sigma1"]),
+                     "--delta", repr(tr["delta"])]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["iterations"] == run["iterations_executed"]
+        assert (printed["epsilon"], printed["best_order"]) == \
+            (run["epsilon"], run["best_order"])
 
 
 def reference_epsilon(n, batch_size, sigma, epochs, delta, sigma1=None):

@@ -4,8 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from fairdp.privacy import (DEFAULT_ORDERS, MechanismEvent, PrivacyLedger,
-                            RdpCurve, compose,
+from fairdp.privacy import (DEFAULT_ORDERS, MechanismEvent, RdpCurve, compose,
                             rdp_full_gaussian, rdp_subsampled_gaussian,
                             to_epsilon)
 
@@ -92,7 +91,7 @@ class TestGridEvaluation:
         curve = rdp_subsampled_gaussian(q, 1e8, DEFAULT_ORDERS)
         assert curve.min() >= 0.0
         assert rdp_subsampled_gaussian(q, 1e8, 2) >= 0.0
-        eps, _ = to_epsilon(compose(PrivacyLedger([MechanismEvent(1e8, q, 234)])), 1e-5)
+        eps, _ = to_epsilon(compose([MechanismEvent(1e8, q, 234)]), 1e-5)
         assert 0.0 < eps < 0.03
 
 
@@ -148,43 +147,43 @@ class TestSubsampledGaussian:
 class TestCompose:
     def test_single_event_identity(self):
         event = MechanismEvent(1.2, 0.01, 1)
-        curve = compose(PrivacyLedger([event]))
+        curve = compose([event])
         expected = [rdp_subsampled_gaussian(0.01, 1.2, a) for a in DEFAULT_ORDERS]
         np.testing.assert_allclose(curve.eps_rdp, expected, rtol=1e-15)
 
     def test_duplicate_event_doubles(self):
         event = MechanismEvent(1.2, 0.01, 3)
-        single = compose(PrivacyLedger([event]))
-        double = compose(PrivacyLedger([event, event]))
+        single = compose([event])
+        double = compose([event, event])
         np.testing.assert_allclose(double.eps_rdp, 2 * single.eps_rdp, rtol=1e-15)
 
     def test_two_distinct_events_sum(self):
         count_event = MechanismEvent(8.0, 0.05, 1)
         grad_event = MechanismEvent(0.8, 0.05, 1)
-        both = compose(PrivacyLedger([count_event, grad_event]))
-        a = compose(PrivacyLedger([count_event]))
-        b = compose(PrivacyLedger([grad_event]))
+        both = compose([count_event, grad_event])
+        a = compose([count_event])
+        b = compose([grad_event])
         np.testing.assert_allclose(both.eps_rdp, a.eps_rdp + b.eps_rdp, rtol=1e-12)
 
     def test_full_batch_event_uses_closed_form(self):
-        curve = compose(PrivacyLedger([MechanismEvent(2.0, 1.0, 1)]), orders=[8])
+        curve = compose([MechanismEvent(2.0, 1.0, 1)], orders=[8])
         assert curve.eps_rdp[0] == 1.0
 
     def test_full_batch_event_over_grid(self):
         events = [MechanismEvent(2.0, 1.0, 3), MechanismEvent(1.5, 0.02, 5)]
-        curve = compose(PrivacyLedger(events))
+        curve = compose(events)
         expected = np.array([3 * (a / (2.0 * 2.0 * 2.0)) + 5 * scalar_loop_rdp(0.02, 1.5, a)
                              for a in DEFAULT_ORDERS])
         assert np.array_equal(curve.eps_rdp, expected)
 
     def test_empty_ledger_rejected(self):
         with pytest.raises(ValueError):
-            compose(PrivacyLedger([]))
+            compose([])
 
     def test_per_step_ledger_matches_coalesced(self):
         steps = 250
-        per_step = PrivacyLedger([MechanismEvent(1.1, 0.02, 1) for _ in range(steps)])
-        coalesced = PrivacyLedger([MechanismEvent(1.1, 0.02, steps)])
+        per_step = [MechanismEvent(1.1, 0.02, 1) for _ in range(steps)]
+        coalesced = [MechanismEvent(1.1, 0.02, steps)]
         np.testing.assert_allclose(compose(per_step).eps_rdp,
                                    compose(coalesced).eps_rdp, rtol=1e-12)
 
@@ -200,21 +199,20 @@ class TestToEpsilon:
         assert best == pytest.approx(6.2565, abs=0.01)
 
     def test_delta_one_drops_log_term(self):
-        curve = compose(PrivacyLedger([MechanismEvent(1.0, 0.01, 10)]))
+        curve = compose([MechanismEvent(1.0, 0.01, 10)])
         eps, best = to_epsilon(curve, 1.0)
         assert eps == curve.eps_rdp.min()
         assert best == curve.orders[np.argmin(curve.eps_rdp)]
 
     def test_finer_grid_never_increases(self):
-        ledger = PrivacyLedger([MechanismEvent(0.9, 0.005, 500)])
-        coarse = to_epsilon(compose(ledger, orders=[2, 8, 32, 64]), 1e-5)[0]
-        fine = to_epsilon(compose(ledger, orders=list(range(2, 65))), 1e-5)[0]
+        events = [MechanismEvent(0.9, 0.005, 500)]
+        coarse = to_epsilon(compose(events, orders=[2, 8, 32, 64]), 1e-5)[0]
+        fine = to_epsilon(compose(events, orders=list(range(2, 65))), 1e-5)[0]
         assert fine <= coarse
 
     def test_monotone_in_delta_and_steps(self):
         def eps_at(steps, delta):
-            return to_epsilon(compose(
-                PrivacyLedger([MechanismEvent(1.0, 0.01, steps)])), delta)[0]
+            return to_epsilon(compose([MechanismEvent(1.0, 0.01, steps)]), delta)[0]
         assert eps_at(100, 1e-5) >= eps_at(100, 1e-4) >= eps_at(100, 1e-3)
         assert eps_at(50, 1e-5) <= eps_at(100, 1e-5) <= eps_at(200, 1e-5)
 

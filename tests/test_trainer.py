@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from fairdp.dataio import Batch, Dataset, synth_two_group, split
 from fairdp.errors import NumericError
 from fairdp.model import (GradStream, ModelSpec, init_params, per_sample_grads,
                           predictions_and_losses)
-from fairdp.privacy import MechanismEvent, PrivacyLedger, compose
+from fairdp.privacy import MechanismEvent, compose, to_epsilon
 from fairdp.trainer import (TrainConfig, dp_step, group_train_stats,
                             private_mean_gradient, resolve_learning_rate,
                             sample_batch, step_events, step_rdp_curve, train,
@@ -57,20 +58,18 @@ class TestDpStep:
         self.params = init_params(self.spec)
 
     def run_step(self, strategy, noise_multiplier, seed=9, lr=0.1):
-        ledger = PrivacyLedger()
-        new_params, outcome = dp_step(
+        return dp_step(
             self.spec, self.params, self.batch, strategy, noise_multiplier,
-            lr, 0.1, np.random.default_rng(seed), np.random.default_rng(seed + 1),
-            ledger, self.data.num_groups)
-        return new_params, outcome, ledger
+            lr, np.random.default_rng(seed), np.random.default_rng(seed + 1),
+            self.data.num_groups)
 
     def test_noiseless_no_clip_equals_plain_sgd(self):
-        private, _, _ = self.run_step(Uniform(math.inf), 0.0)
-        plain, _, _ = self.run_step(NonPrivate(), 0.0)
+        private, _ = self.run_step(Uniform(math.inf), 0.0)
+        plain, _ = self.run_step(NonPrivate(), 0.0)
         np.testing.assert_array_equal(private, plain)
 
     def test_noiseless_clipped_direction(self):
-        new_params, _, _ = self.run_step(Uniform(0.5), 0.0, lr=1.0)
+        new_params, _ = self.run_step(Uniform(0.5), 0.0, lr=1.0)
         grads = per_sample_grads(self.spec, self.params, self.batch)
         factors = np.minimum(1.0, 0.5 / grads.norms)
         expected = (grads.grads * factors[:, None]).mean(axis=0)
@@ -86,9 +85,8 @@ class TestDpStep:
     def assert_noiseless_update(self, strategy, batch, bounds, weights):
         """The zero-noise update equals the mean of rows scaled by
         min(1, C_g/norm) * w_g, to the rounding of another summation order."""
-        new_params, _ = dp_step(self.spec, self.params, batch, strategy, 0.0, 1.0, 0.1,
-                                np.random.default_rng(0), np.random.default_rng(1),
-                                PrivacyLedger(), 2)
+        new_params, _ = dp_step(self.spec, self.params, batch, strategy, 0.0, 1.0,
+                                np.random.default_rng(0), np.random.default_rng(1), 2)
         grads = per_sample_grads(self.spec, self.params, batch)
         g = batch.groups
         factors = np.minimum(1.0, bounds[g] / grads.norms) * weights[g]
@@ -112,27 +110,28 @@ class TestDpStep:
         self.assert_noiseless_update(GroupAdaptive(3.0, 0.0), batch, bounds, np.ones(2))
 
     def test_deterministic_under_seed(self):
-        a, _, _ = self.run_step(Uniform(1.0), 0.8, seed=5)
-        b, _, _ = self.run_step(Uniform(1.0), 0.8, seed=5)
+        a, _ = self.run_step(Uniform(1.0), 0.8, seed=5)
+        b, _ = self.run_step(Uniform(1.0), 0.8, seed=5)
         np.testing.assert_array_equal(a, b)
 
     def test_ledger_events(self):
-        _, _, ledger = self.run_step(Uniform(1.0), 0.8)
-        assert [e.noise_multiplier for e in ledger.events] == [0.8]
-        _, _, ledger = self.run_step(GroupAdaptive(1.0, 8.0), 0.8)
-        assert [e.noise_multiplier for e in ledger.events] == [8.0, 0.8]
-        _, _, ledger = self.run_step(GroupAdaptive(1.0, 0.0), 0.8)
-        assert [e.noise_multiplier for e in ledger.events] == [0.8]
-        _, _, ledger = self.run_step(NonPrivate(), 0.0)
+        # a step's events, from its (count-noise std, gradient noise
+        # multiplier): Uniform has no count noise, NonPrivate neither scale
+        ledger = step_events(0.0, 0.8, 0.1)
+        assert [e.noise_multiplier for _, e in ledger] == [0.8]
+        ledger = step_events(GroupAdaptive(1.0, 8.0).count_noise_std, 0.8, 0.1)
+        assert [e.noise_multiplier for _, e in ledger] == [8.0, 0.8]
+        ledger = step_events(GroupAdaptive(1.0, 0.0).count_noise_std, 0.8, 0.1)
+        assert [e.noise_multiplier for _, e in ledger] == [0.8]
+        ledger = step_events(0.0, 0.0, 0.1)
         assert len(ledger) == 0
 
     def test_nonfinite_gradient_aborts(self):
         bad = Batch(np.array([[np.inf, 0.0, 0.0, 0.0]]), np.array([0]),
                     np.array([0]))
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-            dp_step(self.spec, self.params, bad, Uniform(1.0), 0.0, 0.1, 0.1,
-                    np.random.default_rng(0), np.random.default_rng(1),
-                    PrivacyLedger(), 2)
+            dp_step(self.spec, self.params, bad, Uniform(1.0), 0.0, 0.1,
+                    np.random.default_rng(0), np.random.default_rng(1), 2)
 
     def test_overflowing_gradient_norm_aborts(self):
         # at the zero initial weights the loss stays finite; only the
@@ -140,9 +139,8 @@ class TestDpStep:
         bad = Batch(np.array([[1e200, 0.0, 0.0, 0.0]]), np.array([0]), np.array([0]))
         assert np.isfinite(predictions_and_losses(self.spec, self.params, bad)[1]).all()
         with np.errstate(over="ignore"), pytest.raises(NumericError):
-            dp_step(self.spec, self.params, bad, Uniform(1.0), 0.0, 0.1, 0.1,
-                    np.random.default_rng(0), np.random.default_rng(1),
-                    PrivacyLedger(), 2)
+            dp_step(self.spec, self.params, bad, Uniform(1.0), 0.0, 0.1,
+                    np.random.default_rng(0), np.random.default_rng(1), 2)
 
 
 class TestGhostNormSensitivity:
@@ -160,9 +158,9 @@ class TestGhostNormSensitivity:
             params = init_params(spec, seed) + 0.3 * rng.standard_normal(spec.param_count)
             batch = Batch(3.0 * rng.standard_normal((40, 6)), rng.integers(0, 3, 40),
                           rng.integers(0, 2, 40))
-            _, outcome = dp_step(spec, params, batch, strategy, 0.0, 0.1, 0.1,
+            _, outcome = dp_step(spec, params, batch, strategy, 0.0, 0.1,
                                  np.random.default_rng(seed), np.random.default_rng(seed + 1),
-                                 PrivacyLedger(), 2)
+                                 2)
             limits = outcome.report.bounds  # C_g; for naive the weights w_g
             if isinstance(strategy, NaiveReweight):
                 limits = limits * strategy.base_bound
@@ -188,9 +186,8 @@ class TestReductions:
         outs = []
         for strategy in (strategy_a, strategy_b):
             new_params, _ = dp_step(
-                spec, params, batch, strategy, 0.7, 0.1, 0.05,
-                np.random.default_rng(seed + 1), np.random.default_rng(seed + 2),
-                PrivacyLedger(), 2)
+                spec, params, batch, strategy, 0.7, 0.1,
+                np.random.default_rng(seed + 1), np.random.default_rng(seed + 2), 2)
             outs.append(new_params)
         return outs
 
@@ -231,9 +228,9 @@ class TestTrainLoop:
         tr, te = split(data, 0.8, seed=1)
         cfg = base_config(strategy=GroupAdaptive(1.0, 8.0), epochs=3)
         res = train(cfg, tr, te)
-        grad_steps = sum(e.steps for e in res.ledger.events
+        grad_steps = sum(e.steps for e in res.ledger
                          if e.noise_multiplier == cfg.noise_multiplier)
-        count_steps = sum(e.steps for e in res.ledger.events
+        count_steps = sum(e.steps for e in res.ledger
                           if e.noise_multiplier == 8.0)
         assert grad_steps == res.iterations_executed
         assert count_steps == res.iterations_executed
@@ -285,6 +282,32 @@ class TestTrainLoop:
                                     budget_target=full.final_epsilon), tr, te)
         assert 0 < matched.iterations_executed < full.iterations_executed
         assert matched.final_epsilon <= full.final_epsilon
+
+    def test_budget_stop_rows(self):
+        # 128 training rows, 4 iterations per epoch; the stop row is
+        # labelled with the last epoch that ran an iteration, and skipped
+        # when that epoch is already logged
+        data = toy_data()
+        tr, te = split(data, 0.8, seed=1)
+        cfg = base_config(strategy=GroupAdaptive(1.0, 5.0), epochs=4)
+        eps = [log.epsilon for log in train(cfg, tr, te).epoch_logs]  # after 4, 8, 12, 16
+
+        def run(target, **overrides):
+            res = train(replace(cfg, budget_target=target, **overrides), tr, te)
+            return res, [log.epoch for log in res.epoch_logs]
+
+        at_boundary, epochs = run(eps[1])
+        assert at_boundary.iterations_executed == 8 and epochs == [1, 2]
+        thinned, epochs = run(eps[2], eval_every=2)
+        assert thinned.iterations_executed == 12 and epochs == [2, 3]
+        mid_epoch, epochs = run((eps[1] + eps[2]) / 2)
+        assert 8 < mid_epoch.iterations_executed < 12 and epochs == [1, 2, 3]
+        for res in (at_boundary, thinned, mid_epoch):
+            assert res.final_epsilon == res.epoch_logs[-1].epsilon
+        unstarted, epochs = run(1e-9)
+        assert unstarted.iterations_executed == 0 and epochs == [0]
+        assert unstarted.epoch_logs[0].epsilon is None and unstarted.final_epsilon is None
+        assert unstarted.ledger == ()
 
     def test_inv_sqrt_total_learning_rate(self):
         data = toy_data()
@@ -373,25 +396,24 @@ class TestStreamedMemory:
     def test_dp_step(self):
         batch = self.data.take(np.arange(256))
         assert self.peak(lambda: dp_step(
-            self.spec, self.params, batch, GroupAdaptive(8.0, 1.0), 1.0, 0.1, 0.5,
-            np.random.default_rng(0), np.random.default_rng(1), PrivacyLedger(),
+            self.spec, self.params, batch, GroupAdaptive(8.0, 1.0), 1.0, 0.1,
+            np.random.default_rng(0), np.random.default_rng(1),
             self.data.num_groups)) < self.LIMIT
 
 
 class TestStepRdpCurve:
     def test_matches_manual_composition(self):
-        curve = step_rdp_curve(GroupAdaptive(1.0, 8.0), 0.8, 0.05)
-        manual = compose(PrivacyLedger([MechanismEvent(8.0, 0.05, 1),
-                                        MechanismEvent(0.8, 0.05, 1)]))
-        np.testing.assert_allclose(curve, manual.eps_rdp, rtol=1e-15)
+        curve = step_rdp_curve(8.0, 0.8, 0.05)
+        manual = compose([MechanismEvent(8.0, 0.05, 1), MechanismEvent(0.8, 0.05, 1)])
+        np.testing.assert_allclose(curve.eps_rdp, manual.eps_rdp, rtol=1e-15)
 
     def test_none_when_no_events(self):
-        assert step_rdp_curve(NonPrivate(), 0.0, 0.05) is None
-        assert step_rdp_curve(Uniform(1.0), 0.0, 0.05) is None
+        assert step_rdp_curve(0.0, 0.0, 0.05) is None
 
 
 class TestStepEventsSinglePath:
-    """``dp_step``, ``step_rdp_curve`` and ``train`` all use ``step_events``."""
+    """``train``'s coalesced ledger, event kinds and epsilon, and
+    ``step_rdp_curve``, all derive from ``step_events``."""
 
     @pytest.mark.parametrize("sigma2", [0.0, 0.8])
     @pytest.mark.parametrize("sigma1", [0.0, 4.0])
@@ -405,18 +427,23 @@ class TestStepEventsSinglePath:
         tr, te = split(data, 0.8, seed=1)
         cfg = base_config(strategy=strategy, noise_multiplier=sigma2, epochs=1)
         rate = cfg.batch_size / tr.n
-        expected = step_events(strategy, sigma2, rate)
+        # the non-private strategy makes no release, whatever its noise scales
+        scales = ((0.0, 0.0) if isinstance(strategy, NonPrivate)
+                  else (getattr(strategy, "count_noise_std", 0.0), sigma2))
+        expected = step_events(*scales, rate)
 
-        ledger = PrivacyLedger()
-        dp_step(cfg.model, init_params(cfg.model), tr.take(np.arange(32)), strategy,
-                sigma2, 0.1, rate, np.random.default_rng(0), np.random.default_rng(1),
-                ledger, tr.num_groups)
-        assert ledger.events == [event for _, event in expected]
+        res = train(cfg, tr, te)
+        steps = res.iterations_executed
+        assert res.ledger == tuple(replace(event, steps=steps) for _, event in expected)
+        assert res.event_kinds == tuple(kind for kind, _ in expected)
 
-        curve = step_rdp_curve(strategy, sigma2, rate)
+        curve = step_rdp_curve(*scales, rate)
         if expected:
-            np.testing.assert_array_equal(curve, compose(PrivacyLedger(ledger.events)).eps_rdp)
+            np.testing.assert_array_equal(
+                curve.eps_rdp, compose([event for _, event in expected]).eps_rdp)
+            assert res.final_epsilon == to_epsilon(curve, cfg.delta, steps)[0]
+            assert math.isclose(res.final_epsilon,
+                                to_epsilon(compose(res.ledger), cfg.delta)[0], rel_tol=1e-12)
         else:
             assert curve is None
-
-        assert train(cfg, tr, te).event_kinds == tuple(kind for kind, _ in expected)
+            assert res.final_epsilon is None
