@@ -360,7 +360,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     tr = cfg["training"]
     with _config_values():
-        _, train_data, test_data, digest = build_dataset(cfg["dataset"])
+        train_data, test_data, digest = build_dataset(cfg["dataset"])[1:]
         spec = build_model_spec(cfg["model"], train_data.dim, train_data.num_classes)
         config = trainer.TrainConfig(
             model=spec, strategy=STRATEGIES[tr["strategy"]](tr),

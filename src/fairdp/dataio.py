@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -275,17 +276,30 @@ def _read_exact(fh, nbytes: int, path) -> bytes:
     return data
 
 
+def _read_to_end(fh, nbytes: int, path) -> bytes:
+    """The next ``nbytes`` bytes, which must end the file."""
+    data = _read_exact(fh, nbytes, path)
+    end = fh.tell()
+    extra = fh.seek(0, io.SEEK_END) - end
+    if extra:
+        raise DataError(f"IDX file '{path}' has {extra} extra bytes past its declared data")
+    return data
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Load big-endian IDX image/label files as a 10-class dataset.
 
-    Pixels are scaled to [0, 1] by dividing by 255. The class labels double
-    as the group labels (one group per digit class).
+    Pixels are scaled to [0, 1] by dividing by 255, in place in the one
+    float64 matrix. The class labels double as the group labels (one group
+    per digit class). A file shorter or longer than its header declares is
+    a DataError.
     """
     with _open(images_path, "rb") as fh:
         magic, count, rows, cols = struct.unpack(">4I", _read_exact(fh, 16, images_path))
         if magic != IDX_IMAGES_MAGIC:
             raise DataError(f"bad magic 0x{magic:08x} in image file '{images_path}'")
-        pixels = np.frombuffer(_read_exact(fh, count * rows * cols, images_path), dtype=np.uint8)
+        pixels = np.frombuffer(_read_to_end(fh, count * rows * cols, images_path),
+                               dtype=np.uint8)
     with _open(labels_path, "rb") as fh:
         magic, label_count = struct.unpack(">2I", _read_exact(fh, 8, labels_path))
         if magic != IDX_LABELS_MAGIC:
@@ -293,11 +307,12 @@ def load_idx(images_path, labels_path) -> Dataset:
         if label_count != count:
             raise DataError(
                 f"image/label count mismatch: {count} images vs {label_count} labels")
-        labels = np.frombuffer(_read_exact(fh, label_count, labels_path), dtype=np.uint8)
+        labels = np.frombuffer(_read_to_end(fh, label_count, labels_path), dtype=np.uint8)
     labels = labels.astype(np.int64)
     if labels.size and labels.max() > 9:
         raise DataError(f"label value {labels.max()} outside 0..9")
-    features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    features = pixels.reshape(count, rows * cols).astype(np.float64)
+    features /= 255.0
     return Dataset(features, labels, labels.copy(), tuple(str(d) for d in range(10)), 10)
 
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import metrics, privacy
 from .clipping import ClipOutcome, ClipStrategy, GroupClipReport, NonPrivate, apply_strategy
+from .dataio import Batch
 from .errors import NumericError
 from .model import GradStream, ModelSpec, init_params
 # perfbench/spans.py probes these bindings
@@ -165,16 +166,18 @@ def step_rdp_curve(count_noise_std: float, noise_multiplier: float, sampling_rat
 def group_train_stats(spec: ModelSpec, params: np.ndarray, data):
     """Per-group mean loss, mean pre-clip gradient norm, and accuracy.
 
-    Computed over the full dataset in chunks of STATS_CHUNK_ROWS; a group
-    absent from the data gets NaN entries.
+    Computed over the full dataset in contiguous chunks of STATS_CHUNK_ROWS
+    rows, in row order. Each chunk is a ``Batch`` of row-slice views of the
+    dataset's arrays, so no chunk copies the feature matrix. A group absent
+    from the data gets NaN entries.
     """
     num_groups = data.num_groups
     loss_sum = np.zeros(num_groups)
     norm_sum = np.zeros(num_groups)
     correct = np.zeros(num_groups)
     for start in range(0, data.n, STATS_CHUNK_ROWS):
-        idx = np.arange(start, min(start + STATS_CHUNK_ROWS, data.n))
-        batch = data.take(idx)
+        rows = slice(start, start + STATS_CHUNK_ROWS)
+        batch = Batch(data.features[rows], data.labels[rows], data.groups[rows])
         grads = GradStream(spec, params, batch)
         hits = (grads.predictions == batch.labels).astype(np.float64)
         loss_sum += np.bincount(batch.groups, weights=grads.losses, minlength=num_groups)

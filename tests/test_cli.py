@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -297,24 +299,57 @@ class TestTrainCommand:
             "data error: empty group(s) in the training split: ['minor']\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("missing", ["images", "labels"])
-    def test_missing_idx_file_is_data_error(self, tmp_path, capsys, missing):
-        paths = {"images": tmp_path / "images.idx", "labels": tmp_path / "labels.idx"}
-        paths["images"].write_bytes(struct.pack(">4I", 0x803, 2, 1, 1) + bytes(2))
-        paths["labels"].write_bytes(struct.pack(">2I", 0x801, 2) + bytes([0, 1]))
-        paths[missing] = tmp_path / "absent.idx"
+    @staticmethod
+    def idx_config(tmp_path, paths):
+        """An idx config reading ``paths``; the pair written there is valid."""
+        written = {"images": tmp_path / "images.idx", "labels": tmp_path / "labels.idx"}
+        written["images"].write_bytes(struct.pack(">4I", 0x803, 2, 1, 1) + bytes(2))
+        written["labels"].write_bytes(struct.pack(">2I", 0x801, 2) + bytes([0, 1]))
         text = MINIMAL_SYNTH.format(strategy="dpsgd", out_dir=tmp_path / "out")
         for key in ("n_major", "n_minor", "dim", "separation_major", "separation_minor"):
             text = mutate(text, "dataset", key, None)
         text = mutate(text, "dataset", "kind", "idx")
-        for key, value in paths.items():
-            text = mutate(text, "dataset", key, value)
+        for key in ("images", "labels"):
+            text = mutate(text, "dataset", key, paths.get(key, written[key]))
         path = tmp_path / "idx.ini"
         path.write_text(text, encoding="utf-8")
+        return path, written
+
+    @pytest.mark.parametrize("missing", ["images", "labels"])
+    def test_missing_idx_file_is_data_error(self, tmp_path, capsys, missing):
+        path, _ = self.idx_config(tmp_path, {missing: tmp_path / "absent.idx"})
         assert main(["train", "--config", str(path)]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"data error: cannot open '{tmp_path / 'absent.idx'}'")
+
+    @pytest.mark.parametrize("which, extra", [("images", 3), ("labels", 1)])
+    def test_trailing_idx_bytes_is_data_error(self, tmp_path, capsys, which, extra):
+        path, written = self.idx_config(tmp_path, {})
+        written[which].write_bytes(written[which].read_bytes() + bytes(extra))
+        assert main(["train", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: IDX file '{written[which]}' has {extra} extra bytes "
+            "past its declared data\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_unsplit_dataset_released_before_first_fit(self, tmp_path, monkeypatch):
+        build, fit = cli.build_dataset, cli.trainer.train_nonprivate
+        unsplit = []
+
+        def build_spy(ds_cfg):
+            built = build(ds_cfg)
+            unsplit.append(weakref.ref(built[0]))
+            return built
+
+        def fit_spy(*args):
+            gc.collect()
+            assert unsplit and unsplit[0]() is None, "unsplit dataset alive at the first fit"
+            return fit(*args)
+
+        monkeypatch.setattr(cli, "build_dataset", build_spy)
+        monkeypatch.setattr(cli.trainer, "train_nonprivate", fit_spy)
+        assert main(["train", "--config", str(write_config(tmp_path, tmp_path / "out"))]) == 0
 
 
 class TestAccountantCommand:

@@ -155,6 +155,28 @@ class TestLoadIdx:
         with pytest.raises(DataError, match="truncated"):
             load_idx(ipath, lpath)
 
+    @pytest.mark.parametrize("which, extra", [(0, 3), (1, 1)])
+    def test_trailing_bytes_rejected(self, tmp_path, which, extra):
+        paths = write_idx_pair(tmp_path, np.zeros((4, 2, 2)), [0, 1, 2, 3])
+        paths[which].write_bytes(paths[which].read_bytes() + bytes(extra))
+        with pytest.raises(DataError) as info:
+            load_idx(*paths)
+        assert str(info.value) == \
+            f"IDX file '{paths[which]}' has {extra} extra bytes past its declared data"
+
+    def test_features_are_the_scaled_pixels_bit_for_bit(self, tmp_path):
+        pixels = np.arange(256, dtype=np.uint8).reshape(32, 4, 2)
+        data = load_idx(*write_idx_pair(tmp_path, pixels, np.arange(32) % 10))
+        want = pixels.reshape(32, -1).astype(np.float64) / 255.0
+        assert data.features.tobytes() == want.tobytes()
+        assert not data.features.flags.writeable
+
+    def test_fingerprint_pinned(self, tmp_path):
+        images = (np.arange(6 * 4 * 3) * 37 % 256).reshape(6, 4, 3)
+        data = load_idx(*write_idx_pair(tmp_path, images, [3, 0, 9, 3, 1, 7]))
+        assert fingerprint(data) == \
+            "d43e098654671d61e7a7c418b7b7f4468e568b2a9880285934a8208a56e1947f"
+
 
 class TestSubsampleGroup:
     def test_exact_histogram_and_order(self):

@@ -3,13 +3,18 @@
 ``unfused_step`` keeps the arithmetic that recomputed them (a second row
 max and ``exp`` for the loss, per-segment delta row-squares, a second
 clip mask and ``bincount``). Every value the fused code yields must equal
-it exactly: a last-bit change would move every artifact of a run.
+it exactly: a last-bit change would move every artifact of a run. The
+same holds for the training-set evaluation, whose chunks are row views
+where they were gathered copies.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import unfused_step as ref
+from fairdp import trainer
 from fairdp.clipping import GroupAdaptive, NaiveReweight, Uniform, apply_strategy, row_factors
 from fairdp.dataio import Batch, Dataset
 from fairdp.metrics import group_report
@@ -139,3 +144,53 @@ def test_row_factors_equal_unfused():
             assert sensitivity == want_sensitivity
             np.testing.assert_array_equal(clipped, want_clipped)
         assert factors[0] == weights[groups[0]]
+
+
+def stats_data(n, dim, seed=0):
+    """Rows in groups 0 and 2 only, so group 1's entries are NaN."""
+    rng = np.random.default_rng((n, dim, seed))
+    return Dataset(rng.uniform(0.0, 1.0, (n, dim)), rng.integers(0, 10, n),
+                   rng.choice([0, 2], n), ("g0", "g1", "g2"), 10)
+
+
+class TestGroupTrainStatsChunks:
+    @pytest.mark.parametrize("dim", [1, 3, 20, 784])
+    @pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 4100])
+    def test_equals_gathered_chunks(self, n, dim):
+        spec = ModelSpec.mlp(dim, 8, 10, 1e-3)
+        params = init_params(spec, 2) + 0.3 * np.random.default_rng(dim).standard_normal(
+            spec.param_count)
+        data = stats_data(n, dim)
+        got = trainer.group_train_stats(spec, params, data)
+        for values, want in zip(got, ref.gathered_group_train_stats(spec, params, data)):
+            np.testing.assert_array_equal(values, want)
+        assert all(np.isnan(values[1]) for values in got)
+
+    def test_chunks_are_row_views(self, monkeypatch):
+        data = stats_data(4100, 3)
+        batches = []
+
+        def spy(spec, params, batch):
+            batches.append(batch)
+            return GradStream(spec, params, batch)
+
+        monkeypatch.setattr(trainer, "GradStream", spy)
+        spec = ModelSpec.mlp(3, 4, 10)
+        trainer.group_train_stats(spec, init_params(spec, 0), data)
+        assert [b.labels.shape[0] for b in batches] == [2048, 2048, 4]
+        for batch in batches:
+            for part, whole in zip(batch, (data.features, data.labels, data.groups)):
+                assert np.shares_memory(part, whole)
+
+    def test_peak_below_one_chunk_gather(self):
+        spec = ModelSpec.mlp(784, 100, 10)
+        data = stats_data(4100, 784)
+        params = init_params(spec, 1)
+        gather = trainer.STATS_CHUNK_ROWS * 784 * 8
+        tracemalloc.start()
+        try:
+            trainer.group_train_stats(spec, params, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gather

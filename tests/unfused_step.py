@@ -6,6 +6,10 @@ take their own row max and shifted ``exp``, the params are unpacked per
 use, every gradient segment (bias ones included) squares its own deltas,
 and the clipped fraction takes its own mask and ``bincount``. The fused
 code must equal it bit for bit; ``test_step_fusion.py`` checks that.
+
+``gathered_group_train_stats`` is the training-set evaluation as it was
+when each chunk was gathered into a copy with ``Dataset.take``; the
+row-view chunks must give the same bits.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ import numpy as np
 
 from fairdp.clipping import (GroupAdaptive, NaiveReweight, Uniform, adaptive_bounds,
                              naive_weights)
-from fairdp.model import SOFTMAX, _unpack
+from fairdp.model import SOFTMAX, GradStream, _unpack
+from fairdp.trainer import STATS_CHUNK_ROWS
 
 
 def logits(spec, params, x):
@@ -170,3 +175,22 @@ def apply_strategy(strategy, norms, groups, num_groups, rng):
     logged = weights if isinstance(strategy, NaiveReweight) else bounds
     return (factors, sensitivity, logged, clip_fraction(norms, groups, bounds, num_groups),
             above_noised, sizes_noised)
+
+
+def gathered_group_train_stats(spec, params, data):
+    """Per-group mean loss, gradient norm and accuracy, each chunk a copy."""
+    num_groups = data.num_groups
+    loss_sum = np.zeros(num_groups)
+    norm_sum = np.zeros(num_groups)
+    correct = np.zeros(num_groups)
+    for start in range(0, data.n, STATS_CHUNK_ROWS):
+        idx = np.arange(start, min(start + STATS_CHUNK_ROWS, data.n))
+        batch = data.take(idx)
+        stream = GradStream(spec, params, batch)
+        hits = (stream.predictions == batch.labels).astype(np.float64)
+        loss_sum += np.bincount(batch.groups, weights=stream.losses, minlength=num_groups)
+        norm_sum += np.bincount(batch.groups, weights=stream.norms, minlength=num_groups)
+        correct += np.bincount(batch.groups, weights=hits, minlength=num_groups)
+    counts = data.group_sizes().astype(np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return loss_sum / counts, norm_sum / counts, correct / counts
