@@ -283,32 +283,24 @@ def _cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def write_epochs_csv(path, logs, group_names) -> None:
+def write_epochs_csv(path, logs, group_names, strategy: str) -> None:
+    # the clip cells come from the last step's release; ``bound`` is C_g,
+    # except that naive runs print their weights w_g
+    bound = "weights" if strategy == "naive" else "bounds"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "group", "mean_loss", "mean_grad_norm",
                          "train_accuracy", "bound", "above_noised", "size_noised",
                          "clipped_fraction", "epsilon"])
         for log in logs:
-            report = log.clip_report
+            release = log.release
+            clip = ((None,) * 4 if release is None else
+                    (getattr(release, bound), release.above_noised, release.sizes_noised,
+                     release.clipped_fraction))
             for k, name in enumerate(group_names):
-                row = [log.epoch, name,
-                       _cell(float(log.mean_loss[k])),
-                       _cell(float(log.mean_grad_norm[k])),
-                       _cell(float(log.train_accuracy[k]))]
-                if report is None:
-                    row += ["", "", "", ""]
-                else:
-                    row += [
-                        _cell(float(report.bounds[k])),
-                        _cell(None if report.above_noised is None
-                              else float(report.above_noised[k])),
-                        _cell(None if report.sizes_noised is None
-                              else float(report.sizes_noised[k])),
-                        _cell(float(report.clipped_fraction[k])),
-                    ]
-                row.append(_cell(log.epsilon))
-                writer.writerow(row)
+                cells = [None if values is None else float(values[k]) for values in
+                         (log.mean_loss, log.mean_grad_norm, log.train_accuracy, *clip)]
+                writer.writerow([log.epoch, name, *map(_cell, cells), _cell(log.epsilon)])
 
 
 def _sizes_by_name(data) -> dict:
@@ -408,7 +400,7 @@ def cmd_train(args) -> int:
         }
         dump_json(run_dir / "run.json", run)
         write_epochs_csv(run_dir / "epochs.csv", result.epoch_logs,
-                         train_data.group_names)
+                         train_data.group_names, name)
         save_params(run_dir / "params.bin", spec, result.params)
         dump_json(run_dir / "fairness.json", fairness)
 

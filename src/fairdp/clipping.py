@@ -13,11 +13,11 @@ sum:
 Each strategy reduces to per-group clip bounds C_g and weights w_g
 (uniform: one bound, unit weights; naive: the base bound, the reweight
 factors; adaptive: the grown bounds, unit weights). ``apply_strategy``
-reads only the per-sample norms and yields a ``ClipOutcome`` with one
-factor per row, f_i = min(1, C_g/norm_i) * w_g, the effective sensitivity
-(the largest L2 change a single present row can induce in the sum of
-factor-scaled rows), and a per-group report for logging. Scaling and
-summing the rows is left to the caller.
+reads only the per-sample norms and yields a ``StepRelease``: the bounds
+and weights, one factor per row, f_i = min(1, C_g/norm_i) * w_g, the
+effective sensitivity (the largest L2 change a single present row can
+induce in the sum of factor-scaled rows), each group's clipped fraction and
+the noised counts. Scaling and summing the rows is left to the caller.
 
 One batch is counted once: one ``bincount`` of its group sizes feeds the
 naive strategy's noised sizes, the adaptive strategy's at-or-below counts
@@ -36,7 +36,6 @@ clipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -86,25 +85,26 @@ ClipStrategy = Uniform | NaiveReweight | GroupAdaptive
 
 
 @dataclass(frozen=True)
-class GroupClipReport:
-    """Per-group logging snapshot for one clipped batch.
+class StepRelease:
+    """What one clipped batch used and released.
 
-    ``bounds`` holds the clip bound per group (uniform/adaptive) or the
-    reweight factor (naive). ``clipped_fraction`` is NaN for groups absent
-    from the batch. The noised fields are set only by strategies that noise
-    counts or sizes.
+    ``bounds`` (C_g) and ``weights`` (w_g) are per group; ``factors`` are
+    the rows' f_i and ``sensitivity`` the largest C_g * w_g of a present
+    group. ``clipped_fraction`` is NaN for groups absent from the batch. The
+    noised fields are set only by strategies that noise counts or sizes.
     """
 
     bounds: np.ndarray
+    weights: np.ndarray
+    factors: np.ndarray
+    sensitivity: float
     clipped_fraction: np.ndarray
     above_noised: np.ndarray | None = None
     sizes_noised: np.ndarray | None = None
 
-
-class ClipOutcome(NamedTuple):
-    factors: np.ndarray
-    sensitivity: float
-    report: GroupClipReport
+    @property  # perfbench/spans.py reads result.report.clipped_fraction
+    def report(self) -> StepRelease:
+        return self
 
 
 def row_factors(norms: np.ndarray, groups: np.ndarray, bounds: np.ndarray,
@@ -176,13 +176,13 @@ def naive_weights(sizes_noised: np.ndarray, num_groups: int,
 
 def apply_strategy(strategy: ClipStrategy, norms: np.ndarray,
                    groups: np.ndarray, num_groups: int,
-                   rng: np.random.Generator) -> ClipOutcome:
-    """Row factors, sensitivity and report for one batch's per-sample norms.
+                   rng: np.random.Generator) -> StepRelease:
+    """The release of one batch, read from its per-sample norms.
 
     Count noise is drawn from ``rng``. Each strategy sets per-group bounds
     and weights; ``row_factors`` turns them into the factors, the
-    sensitivity and the clipped fractions. The report carries the noised
-    counts/sizes where the strategy produced them.
+    sensitivity and the clipped fractions. The noised counts/sizes are set
+    where the strategy produced them.
     """
     groups = np.asarray(groups)
     batch_size = norms.shape[0]
@@ -205,6 +205,5 @@ def apply_strategy(strategy: ClipStrategy, norms: np.ndarray,
     else:
         raise ValueError(f"not a clipping strategy: {strategy!r}")
     factors, sensitivity, clipped = row_factors(norms, groups, bounds, weights, sizes)
-    logged = weights if isinstance(strategy, NaiveReweight) else bounds
-    report = GroupClipReport(logged, clipped, above_noised, sizes_noised)
-    return ClipOutcome(factors, sensitivity, report)
+    return StepRelease(bounds, weights, factors, sensitivity, clipped, above_noised,
+                       sizes_noised)

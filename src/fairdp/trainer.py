@@ -29,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from . import metrics, privacy
-from .clipping import ClipOutcome, ClipStrategy, GroupClipReport, NonPrivate, apply_strategy
+from .clipping import ClipStrategy, NonPrivate, StepRelease, Uniform, apply_strategy
 from .dataio import Batch
 from .errors import NumericError
 from .model import GradStream, ModelSpec, init_params
@@ -63,6 +63,9 @@ class TrainConfig:
             raise ValueError("batch_size, epochs, eval_every must be >= 1")
         if not 0 <= self.noise_multiplier < math.inf:
             raise ValueError("noise_multiplier must be finite and non-negative")
+        if self.noise_multiplier > 0 and self.strategy == Uniform(math.inf):
+            raise ValueError("an infinite clip bound leaves the sensitivity unbounded; "
+                             "it needs noise_multiplier = 0")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must be in (0, 1]")
         if self.budget_target is not None and not self.budget_target > 0:
@@ -81,7 +84,7 @@ class EpochLog:
     mean_grad_norm: np.ndarray
     train_accuracy: np.ndarray
     epsilon: float | None
-    clip_report: GroupClipReport | None
+    release: StepRelease | None  # the last step's release before this row
 
 
 @dataclass
@@ -138,8 +141,11 @@ def step_events(count_noise_std: float, noise_multiplier: float,
 def dp_step(spec: ModelSpec, params: np.ndarray, batch,
             strategy: Union[ClipStrategy, NonPrivate], noise_multiplier: float,
             lr: float, count_rng: np.random.Generator, noise_rng: np.random.Generator,
-            num_groups: int) -> tuple[np.ndarray, ClipOutcome | None]:
+            num_groups: int) -> tuple[np.ndarray, StepRelease | None]:
     """One SGD update on a batch, privatized per the strategy.
+
+    Returns the updated params and the step's ``StepRelease`` (None for the
+    non-private strategy, which clips nothing).
 
     Raises:
       NumericError: a non-finite per-sample gradient or loss was produced.
@@ -150,10 +156,10 @@ def dp_step(spec: ModelSpec, params: np.ndarray, batch,
     if isinstance(strategy, NonPrivate):
         update = private_mean_gradient(grads, None, 0.0, 0.0, noise_rng)
         return params - lr * update, None
-    outcome = apply_strategy(strategy, grads.norms, batch.groups, num_groups, count_rng)
-    update = private_mean_gradient(grads, outcome.factors, outcome.sensitivity,
+    release = apply_strategy(strategy, grads.norms, batch.groups, num_groups, count_rng)
+    update = private_mean_gradient(grads, release.factors, release.sensitivity,
                                    noise_multiplier, noise_rng)
-    return params - lr * update, outcome
+    return params - lr * update, release
 
 
 def step_rdp_curve(count_noise_std: float, noise_multiplier: float, sampling_rate: float,
@@ -231,7 +237,7 @@ def train(config: TrainConfig, train_data, test_data) -> TrainResult:
 
     logs: list[EpochLog] = []
     executed = 0
-    last_outcome: ClipOutcome | None = None
+    last_release: StepRelease | None = None
     stopped = False
     for epoch in range(1, config.epochs + 1):
         for _ in range(iters_per_epoch):
@@ -242,14 +248,12 @@ def train(config: TrainConfig, train_data, test_data) -> TrainResult:
                     break
             idx = sample_batch(n, config.batch_size, batch_rng)
             try:
-                params, outcome = dp_step(
+                params, last_release = dp_step(
                     spec, params, train_data.take(idx), config.strategy,
                     config.noise_multiplier, lr, count_rng, noise_rng,
                     train_data.num_groups)
             except NumericError as exc:
                 raise NumericError(f"iteration {executed + 1}: {exc}") from exc
-            if outcome is not None:
-                last_outcome = outcome
             executed += 1
         due = epoch % config.eval_every == 0 or epoch == config.epochs
         if stopped:
@@ -260,8 +264,7 @@ def train(config: TrainConfig, train_data, test_data) -> TrainResult:
             epsilon = None
             if step_curve is not None and executed > 0:
                 epsilon = privacy.to_epsilon(step_curve, config.delta, executed)[0]
-            logs.append(EpochLog(epoch, loss, norm, acc, epsilon,
-                                 last_outcome.report if last_outcome else None))
+            logs.append(EpochLog(epoch, loss, norm, acc, epsilon, last_release))
         if stopped:
             break
 

@@ -1,4 +1,7 @@
+import csv
 import gc
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -145,6 +148,7 @@ OUT_OF_RANGE = [
     ("train", [("training", "strategy", "naive"), ("training", "sigma1", "inf")]),
     ("train", [("training", "strategy", "dpsgd-f"), ("training", "clip", "inf")]),
     ("train", [("training", "clip", "nan")]),
+    ("train", [("training", "clip", "inf")]),  # unbounded sensitivity at sigma2 > 0
     ("train", [("training", "batch_size", "200")]),  # 128 training rows
     ("train", [("training", "budget_target", "-5")]),
     ("train", [("training", "lr", "-5")]),
@@ -249,6 +253,27 @@ class TestTrainCommand:
         lines = (out / "dpsgd" / "epochs.csv").read_text().strip().splitlines()
         assert lines[0].startswith("epoch,group,mean_loss")
         assert len(lines) == 1 + 2 * 2  # header + 2 epochs x 2 groups
+
+    @pytest.mark.parametrize("strategy", ["dpsgd", "naive", "dpsgd-f"])
+    def test_bound_column_reads_the_last_release(self, tmp_path, monkeypatch, strategy):
+        # ``bound`` is the release's C_g, except for naive, whose cells are w_g
+        releases = []
+        real = cli.trainer.apply_strategy
+
+        def spy(*args):
+            releases.append(real(*args))
+            return releases[-1]
+
+        monkeypatch.setattr(cli.trainer, "apply_strategy", spy)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(write_config(tmp_path, out, strategy))]) == 0
+        with open(out / strategy / "epochs.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        release = releases[-1]
+        if strategy != "dpsgd":
+            assert list(release.bounds) != list(release.weights)
+        expected = release.weights if strategy == "naive" else release.bounds
+        assert [row["bound"] for row in rows[-2:]] == [repr(float(v)) for v in expected]
 
     def test_huge_sigma2_trains(self, tmp_path, capsys):
         # the shipped run's per-step bound used to round below 0 at this
@@ -646,3 +671,35 @@ class TestCompareCommand:
         code = main(["compare", str(tmp_path / "absent")])
         assert code == 3
         assert "absent" in capsys.readouterr().err
+
+
+def load_spans():
+    """The benchmark's ``perfbench/spans.py``, imported from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkProbes:
+    """The benchmark's traced runs wrap src bindings and read their results;
+    a probe that no longer fits the src fails here, not only under the
+    benchmark."""
+
+    def test_traced_train_per_strategy(self, tmp_path, monkeypatch):
+        spans = load_spans()
+        for module_name, attr, _, _ in spans.LAYERS:
+            module = importlib.import_module(module_name)
+            monkeypatch.setattr(module, attr, getattr(module, attr))
+        tracer = spans.Tracer()
+        spans.install(tracer, spans.LAYERS)
+        for strategy in ("dpsgd", "naive", "dpsgd-f"):
+            path = write_config(tmp_path, tmp_path / strategy, strategy, name=f"{strategy}.ini")
+            assert cli.main(["train", "--config", str(path)]) == 0
+        steps = 3 * 2 * (128 // 32)  # strategies x epochs x iterations per epoch
+        clip_spans = [s for s in tracer.spans if s[0] == "clipping.apply_strategy"]
+        assert len(clip_spans) == steps
+        for span in clip_spans:
+            assert span[4] is not None and len(span[4]["clipped"]) == 2
+        assert spans.layer_metrics(tracer.spans)["clipping.apply_strategy.calls"] == steps

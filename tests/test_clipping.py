@@ -62,16 +62,17 @@ class TestClipUniform:
         _, norms = make_grads([[2.0, 0.0], [0.1, 0.0], [5.0, 0.0]])
         out = apply_strategy(Uniform(1.0), norms, np.array([0, 0, 1]), 3,
                              np.random.default_rng(0))
-        np.testing.assert_array_equal(out.report.bounds, [1.0, 1.0, 1.0])
-        np.testing.assert_allclose(out.report.clipped_fraction[:2], [0.5, 1.0])
-        assert np.isnan(out.report.clipped_fraction[2])
+        np.testing.assert_array_equal(out.bounds, [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(out.weights, [1.0, 1.0, 1.0])
+        np.testing.assert_allclose(out.clipped_fraction[:2], [0.5, 1.0])
+        assert np.isnan(out.clipped_fraction[2])
 
 
 def noiseless_counts(norms, groups, bound, num_groups):
-    """The report's noised counts of a zero-noise ``GroupAdaptive`` step."""
+    """The release's noised counts of a zero-noise ``GroupAdaptive`` step."""
     out = apply_strategy(GroupAdaptive(bound, 0.0), np.asarray(norms, dtype=float),
                          np.asarray(groups), num_groups, np.random.default_rng(0))
-    return out.report.above_noised, out.report.sizes_noised
+    return out.above_noised, out.sizes_noised
 
 
 class TestExactCounts:
@@ -104,7 +105,7 @@ class TestNoiseCounts:
         out = apply_strategy(GroupAdaptive(1.0, 4.0), np.array([2.0, 2.0, 0.5, 0.5, 0.5]),
                              np.zeros(5, dtype=int), 1, np.random.default_rng(7))
         draws = np.random.default_rng(7).normal(0.0, 4.0, size=2)
-        assert out.report.sizes_noised[0] == pytest.approx(5.0 + draws.sum(), abs=1e-12)
+        assert out.sizes_noised[0] == pytest.approx(5.0 + draws.sum(), abs=1e-12)
 
     def test_negative_draw_clamped_in_derived(self):
         # one row above the bound, none below; the size draw is negative
@@ -222,16 +223,19 @@ class TestApplyStrategy:
         groups = np.array([0, 0, 0, 1, 1, 1])
         out = apply_strategy(GroupAdaptive(0.5, 2.0), norms, groups, 2,
                              np.random.default_rng(1))
-        assert out.report.above_noised is not None
-        assert out.report.sizes_noised is not None
+        assert out.above_noised is not None
+        assert out.sizes_noised is not None
 
     def test_naive_attaches_noised_sizes(self):
         _, norms = random_grads(np.random.default_rng(4), 6, 4)
         groups = np.array([0, 0, 0, 1, 1, 1])
         out = apply_strategy(NaiveReweight(0.5, 2.0), norms, groups, 2,
                              np.random.default_rng(1))
-        assert out.report.sizes_noised is not None
-        assert out.report.above_noised is None
+        assert out.sizes_noised is not None
+        assert out.above_noised is None
+        # the bounds stay at the base bound; the reweighting is in the weights
+        np.testing.assert_array_equal(out.bounds, [0.5, 0.5])
+        np.testing.assert_array_equal(out.weights, naive_weights(out.sizes_noised, 2, 6))
 
     def test_nonprivate_rejected(self):
         _, norms = random_grads(np.random.default_rng(4), 2, 2)
@@ -250,13 +254,13 @@ class TestApplyStrategy:
                                  np.random.default_rng(seed))
             draws = np.random.default_rng(seed).normal(0.0, 3.0, size=4)
             above = np.array([1.0, 0.0]) + draws[:2]
-            np.testing.assert_array_equal(out.report.above_noised, above)
-            np.testing.assert_array_equal(out.report.sizes_noised,
+            np.testing.assert_array_equal(out.above_noised, above)
+            np.testing.assert_array_equal(out.sizes_noised,
                                           above + (np.array([0.0, 1.0]) + draws[2:]))
             out = apply_strategy(NaiveReweight(1.0, 3.0), norms, groups, 2,
                                  np.random.default_rng(seed))
             draws = np.random.default_rng(seed).normal(0.0, 3.0, size=2)
-            np.testing.assert_array_equal(out.report.sizes_noised,
+            np.testing.assert_array_equal(out.sizes_noised,
                                           np.array([1.0, 1.0]) + draws)
 
 

@@ -102,26 +102,26 @@ class TestModelPass:
 @pytest.mark.parametrize("l2", [0.0, 0.05])
 @pytest.mark.parametrize("kind", ["softmax", "mlp"])
 def test_apply_strategy_equals_unfused(kind, l2, strategy_name):
-    """Factors, sensitivity and report, with the bound equal to one row's norm."""
+    """Every field of the release, with the bound equal to one row's norm."""
     for case, (spec, params, batch) in enumerate(cases(kind, l2)):
         norms = GradStream(spec, params, batch).norms
         bound = float(np.sort(norms)[norms.shape[0] // 3])
         strategy = STRATEGIES[strategy_name](bound)
         fused = apply_strategy(strategy, norms, batch.groups, NUM_GROUPS,
                                np.random.default_rng(case))
-        factors, sensitivity, logged, clipped, above, sizes = ref.apply_strategy(
+        factors, sensitivity, bounds, weights, clipped, above, sizes = ref.apply_strategy(
             strategy, norms, batch.groups, NUM_GROUPS, np.random.default_rng(case))
         np.testing.assert_array_equal(fused.factors, factors)
         assert fused.sensitivity == sensitivity
-        np.testing.assert_array_equal(fused.report.bounds, logged)
-        np.testing.assert_array_equal(fused.report.clipped_fraction, clipped)
-        for got, want in ((fused.report.above_noised, above),
-                          (fused.report.sizes_noised, sizes)):
+        np.testing.assert_array_equal(fused.bounds, bounds)
+        np.testing.assert_array_equal(fused.weights, weights)
+        np.testing.assert_array_equal(fused.clipped_fraction, clipped)
+        for got, want in ((fused.above_noised, above), (fused.sizes_noised, sizes)):
             assert (got is None) == (want is None)
             if want is not None:
                 np.testing.assert_array_equal(got, want)
         if case % 2:
-            assert np.isnan(fused.report.clipped_fraction[1])
+            assert np.isnan(fused.clipped_fraction[1])
 
 
 def test_row_factors_equal_unfused():

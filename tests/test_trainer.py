@@ -158,16 +158,15 @@ class TestGhostNormSensitivity:
             params = init_params(spec, seed) + 0.3 * rng.standard_normal(spec.param_count)
             batch = Batch(3.0 * rng.standard_normal((40, 6)), rng.integers(0, 3, 40),
                           rng.integers(0, 2, 40))
-            _, outcome = dp_step(spec, params, batch, strategy, 0.0, 0.1,
+            _, release = dp_step(spec, params, batch, strategy, 0.0, 0.1,
                                  np.random.default_rng(seed), np.random.default_rng(seed + 1),
                                  2)
-            limits = outcome.report.bounds  # C_g; for naive the weights w_g
-            if isinstance(strategy, NaiveReweight):
-                limits = limits * strategy.base_bound
-            rows = per_sample_grads(spec, params, batch).grads * outcome.factors[:, None]
+            limits = release.bounds * release.weights
+            rows = per_sample_grads(spec, params, batch).grads * release.factors[:, None]
             norms = np.linalg.norm(rows, axis=1)
             assert np.all(norms <= limits[batch.groups] * (1 + 1e-9))
-            assert np.nanmax(outcome.report.clipped_fraction) > 0
+            assert release.sensitivity == limits[np.unique(batch.groups)].max()
+            assert np.nanmax(release.clipped_fraction) > 0
 
 
 class TestReductions:

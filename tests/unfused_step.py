@@ -149,8 +149,8 @@ def clip_fraction(norms, groups, bounds, num_groups):
 
 
 def apply_strategy(strategy, norms, groups, num_groups, rng):
-    """(factors, sensitivity, logged bounds or weights, clipped fraction,
-    noised above-counts, noised sizes) for one batch."""
+    """(factors, sensitivity, bounds, weights, clipped fraction, noised
+    above-counts, noised sizes) for one batch."""
     groups = np.asarray(groups)
     batch_size = norms.shape[0]
     weights = np.ones(num_groups)
@@ -172,9 +172,8 @@ def apply_strategy(strategy, norms, groups, num_groups, rng):
         bounds = np.full(num_groups, strategy.base_bound)
         weights = naive_weights(sizes_noised, num_groups, batch_size)
     factors, sensitivity = row_factors(norms, groups, bounds, weights)
-    logged = weights if isinstance(strategy, NaiveReweight) else bounds
-    return (factors, sensitivity, logged, clip_fraction(norms, groups, bounds, num_groups),
-            above_noised, sizes_noised)
+    return (factors, sensitivity, bounds, weights,
+            clip_fraction(norms, groups, bounds, num_groups), above_noised, sizes_noised)
 
 
 def gathered_group_train_stats(spec, params, data):
