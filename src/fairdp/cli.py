@@ -1,6 +1,6 @@
 """Experiment front end: config parsing, orchestration, and reporting.
 
-Subcommands: prepare-data, train, accountant, analyze, compare. Configs are
+Subcommands: train, accountant, analyze, compare. Configs are
 INI-style files with four sections ([dataset], [model], [training],
 [report]) and the keys in ``CONFIG_KEYS``. Unknown sections or keys, and
 unparsable or out-of-range values, are configuration errors (exit 2).
@@ -47,32 +47,57 @@ STRATEGY_NAMES = tuple(STRATEGIES)
 # config parsing
 
 
-def _parser(convert, expected: str):
+# value domains: (test, how a message spells the values it accepts)
+AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
+AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+POSITIVE = (lambda v: v > 0, "> 0")
+FINITE = (math.isfinite, "finite")
+FINITE_AT_LEAST_0 = (lambda v: 0 <= v < math.inf, "finite and >= 0")
+FINITE_POSITIVE = (lambda v: 0 < v < math.inf, "finite and > 0")
+OPEN_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
+HALF_OPEN_UNIT = (lambda v: 0 < v <= 1, "in (0, 1]")
+
+
+def _check(value, domain, where: str, raw=None):
+    """``value`` if it lies in ``domain``, else a ConfigError naming ``where``."""
+    test, spelled = domain
+    if not test(value):
+        raise ConfigError(f"{where} must be {spelled}, got '{value if raw is None else raw}'")
+    return value
+
+
+def _parser(convert, expected: str, domain=None):
     """A key parser: ``convert(raw)``, with a KeyError, a ValueError or a NaN
-    reported as ``"<where><expected>, got '<raw>'"``."""
+    reported as ``"<where><expected>, got '<raw>'"``, then checked against
+    ``domain`` when one is given."""
     def parse(raw, where):
         try:
             value = convert(raw)
             if value != value:  # NaN; inf is kept as Uniform's no-clip bound
                 raise ValueError(raw)
-            return value
         except (KeyError, ValueError):
             raise ConfigError(f"{where}{expected}, got '{raw}'") from None
+        return value if domain is None else _check(value, domain, where, raw)
     return parse
 
 
+def _number(convert, domain):
+    """A parser of ints or floats, as ``convert`` is int or float."""
+    return _parser(convert, ": expected an integer" if convert is int else ": expected a number",
+                   domain)
+
+
 def _choice(names: tuple, spelled: str):
-    # tuple.index raises ValueError for a name not listed
-    return _parser(lambda raw: names[names.index(raw)], f" must be {spelled}")
+    return _parser(str, "", (names.__contains__, spelled))
 
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-_parse_int = _parser(int, ": expected an integer")
-_parse_float = _parser(float, ": expected a number")
 _parse_bool = _parser(lambda raw: _BOOLEANS[raw.lower()], ": expected a boolean")
 _parse_text = _parser(str, "")
 _parse_lr = _parser(lambda raw: raw if raw == trainer.INV_SQRT_TOTAL else float(raw),
-                    ": expected a number")
+                    ": expected a number",
+                    (lambda v: isinstance(v, str) or 0 < v < math.inf,
+                     f"finite and > 0, or {trainer.INV_SQRT_TOTAL}"))
 _parse_dataset_kind = _choice(("synth", "census", "idx"), "synth, census, or idx")
 
 
@@ -99,13 +124,13 @@ UNSET = object()     # default of a key left out of the result when not given
 CONFIG_KEYS = {
     "dataset": {
         "kind": (_parse_dataset_kind, REQUIRED, None),
-        "seed": (_parse_int, REQUIRED, None),
-        "split_fraction": (_parse_float, 0.8, None),
-        "n_major": (_parse_int, REQUIRED, "synth"),
-        "n_minor": (_parse_int, REQUIRED, "synth"),
-        "dim": (_parse_int, REQUIRED, "synth"),
-        "separation_major": (_parse_float, REQUIRED, "synth"),
-        "separation_minor": (_parse_float, REQUIRED, "synth"),
+        "seed": (_number(int, AT_LEAST_0), REQUIRED, None),
+        "split_fraction": (_number(float, OPEN_UNIT), 0.8, None),
+        "n_major": (_number(int, AT_LEAST_1), REQUIRED, "synth"),
+        "n_minor": (_number(int, AT_LEAST_1), REQUIRED, "synth"),
+        "dim": (_number(int, AT_LEAST_1), REQUIRED, "synth"),
+        "separation_major": (_number(float, FINITE), REQUIRED, "synth"),
+        "separation_minor": (_number(float, FINITE), REQUIRED, "synth"),
         "path": (_parse_text, REQUIRED, "census"),
         "schema": (_parse_schema, REQUIRED, "census"),
         "header": (_parse_bool, True, "census"),
@@ -114,32 +139,34 @@ CONFIG_KEYS = {
         "protected_positive": (_parse_text, REQUIRED, "census"),
         "images": (_parse_text, REQUIRED, "idx"),
         "labels": (_parse_text, REQUIRED, "idx"),
-        "subsample_group": (_parse_int, UNSET, None),
-        "subsample_size": (_parse_int, UNSET, None),
+        # the group index's upper bound needs the data: dataio.subsample_group
+        "subsample_group": (_number(int, AT_LEAST_0), UNSET, None),
+        "subsample_size": (_number(int, AT_LEAST_1), UNSET, None),
     },
     "model": {
         "kind": (_choice(("softmax", "mlp"), "softmax or mlp"), REQUIRED, None),
-        "hidden": (_parse_int, 0, None),
-        "l2": (_parse_float, 0.0, None),
+        "hidden": (_number(int, AT_LEAST_1), 0, None),
+        "l2": (_number(float, FINITE_AT_LEAST_0), 0.0, None),
     },
     "training": {
         "strategy": (_choice(STRATEGY_NAMES, f"one of {STRATEGY_NAMES}"), REQUIRED, None),
-        "clip": (_parse_float, REQUIRED, None),
-        "sigma2": (_parse_float, REQUIRED, None),
-        "sigma1": (_parse_float, UNSET, None),
-        "sigma1_ratio": (_parse_float, 10.0, None),
+        "clip": (_number(float, POSITIVE), REQUIRED, None),
+        "sigma2": (_number(float, FINITE_AT_LEAST_0), REQUIRED, None),
+        "sigma1": (_number(float, FINITE_AT_LEAST_0), UNSET, None),
+        "sigma1_ratio": (_number(float, FINITE_AT_LEAST_0), 10.0, None),
         "lr": (_parse_lr, REQUIRED, None),
-        "batch_size": (_parse_int, REQUIRED, None),
-        "epochs": (_parse_int, REQUIRED, None),
-        "delta": (_parse_float, REQUIRED, None),
-        "seed": (_parse_int, REQUIRED, None),
-        "budget_target": (_parse_float, None, None),
-        "eval_every": (_parse_int, 1, None),
+        "batch_size": (_number(int, AT_LEAST_1), REQUIRED, None),
+        "epochs": (_number(int, AT_LEAST_1), REQUIRED, None),
+        "delta": (_number(float, HALF_OPEN_UNIT), REQUIRED, None),
+        "seed": (_number(int, AT_LEAST_0), REQUIRED, None),
+        "budget_target": (_number(float, POSITIVE), None, None),
+        "eval_every": (_number(int, AT_LEAST_1), 1, None),
     },
     "report": {
         "out_dir": (_parse_text, REQUIRED, None),
-        "tau": (_parse_float, 0.05, None),
-        "positive_class": (_parse_int, 1, None),
+        "tau": (_number(float, FINITE_AT_LEAST_0), 0.05, None),
+        # the class's upper bound needs the data: cmd_train
+        "positive_class": (_number(int, AT_LEAST_0), 1, None),
     },
 }
 
@@ -177,39 +204,31 @@ def load_config(path) -> dict:
         if not parser.has_section(section):
             raise ConfigError(f"missing section [{section}]")
 
-    given = parser["dataset"]
-    kind = _parse_dataset_kind(given.get("kind"), "[dataset] kind")
-    if ("subsample_group" in given) != ("subsample_size" in given):
-        raise ConfigError("[dataset] subsample_group and subsample_size go together")
+    kind = _parse_dataset_kind(parser["dataset"].get("kind"), "[dataset] kind")
     dataset = _section(parser, "dataset", kind)
-    if not 0.0 < dataset["split_fraction"] < 1.0:
-        raise ConfigError("[dataset] split_fraction must be in (0, 1)")
-
     model = _section(parser, "model")
-    if model["kind"] == "mlp" and not parser.has_option("model", "hidden"):
-        raise ConfigError("[model] mlp requires 'hidden'")
-    if model["kind"] == "softmax" and parser.has_option("model", "hidden"):
-        raise ConfigError("[model] softmax takes no 'hidden'")
-
     training = _section(parser, "training")
-    training.setdefault("sigma1", training.pop("sigma1_ratio") * training["sigma2"])
-    if training["clip"] <= 0:
-        raise ConfigError("[training] clip must be positive")
-    if training["epochs"] < 1 or training["batch_size"] < 1:
-        raise ConfigError("[training] epochs and batch_size must be >= 1")
     report = _section(parser, "report")
-    if not 0.0 <= report["tau"] < math.inf:
-        raise ConfigError("[report] tau must be finite and non-negative")
+
+    # the rules that tie keys together; each value's own domain is checked above
+    training.setdefault("sigma1", training.pop("sigma1_ratio") * training["sigma2"])
+    strategy, sigma1, sigma2 = (training[key] for key in ("strategy", "sigma1", "sigma2"))
+    if ("subsample_group" in dataset) != ("subsample_size" in dataset):
+        raise ConfigError("[dataset] subsample_group and subsample_size go together")
+    if (model["kind"] == "mlp") != (model["hidden"] > 0):
+        raise ConfigError("[model] hidden must be given if and only if [model] kind is mlp")
+    if training["clip"] == math.inf and (strategy != "dpsgd" or sigma2 > 0):
+        raise ConfigError("[training] clip = inf needs [training] strategy = dpsgd and "
+                          "[training] sigma2 = 0")
+    if not math.isfinite(sigma1):
+        raise ConfigError("[training] sigma1_ratio * [training] sigma2 must be finite, "
+                          f"got {sigma1}")
+    # both noise scales at 0 is the non-private equivalence run
+    if strategy != "dpsgd" and (sigma1 > 0) != (sigma2 > 0):
+        raise ConfigError(f"[training] strategy = {strategy} needs [training] sigma1 (default "
+                          "[training] sigma1_ratio * sigma2) and [training] sigma2 both > 0 "
+                          f"or both 0, got sigma1 {sigma1} and sigma2 {sigma2}")
     return {"dataset": dataset, "model": model, "training": training, "report": report}
-
-
-@contextlib.contextmanager
-def _config_values():
-    """Report a ValueError from building library objects as a ConfigError."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 # --------------------------------------------------------------------------
@@ -221,7 +240,7 @@ def build_dataset(ds_cfg: dict):
 
     The dataset seed drives generation; seed+1 drives the subsample and
     seed+2 the split, so the three stages stay independently reproducible.
-    Returns (full dataset, train, test, fingerprint).
+    Returns (train, test, fingerprint); the unsplit dataset is not kept.
     """
     kind, seed = ds_cfg["kind"], ds_cfg["seed"]
     if kind == "synth":
@@ -240,7 +259,7 @@ def build_dataset(ds_cfg: dict):
             ds_cfg["subsample_group"], ds_cfg["subsample_size"], seed + 1))
     digest = dataio.fingerprint(data)
     train_data, test_data = dataio.split(data, ds_cfg["split_fraction"], seed + 2)
-    return data, train_data, test_data, digest
+    return train_data, test_data, digest
 
 
 def build_model_spec(md_cfg: dict, input_dim: int, num_classes: int) -> ModelSpec:
@@ -329,36 +348,16 @@ def _fairness_dict(predictions, test_data, positive_class) -> dict:
 # subcommands
 
 
-def cmd_prepare_data(args) -> int:
-    cfg = load_config(args.config)
-    with _config_values():
-        data, train_data, test_data, digest = build_dataset(cfg["dataset"])
-    out = Path(args.out or cfg["report"]["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    summary = {
-        "fingerprint": digest,
-        "rows": data.n, "dim": data.dim,
-        "num_groups": data.num_groups, "num_classes": data.num_classes,
-        "group_sizes": _sizes_by_name(data),
-        "train_sizes": _sizes_by_name(train_data),
-        "test_sizes": _sizes_by_name(test_data),
-    }
-    dump_json(out / "prepared.json", summary)
-    print(json.dumps(_sanitize(summary), sort_keys=True))
-    return 0
-
-
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     tr = cfg["training"]
-    with _config_values():
-        train_data, test_data, digest = build_dataset(cfg["dataset"])[1:]
-        spec = build_model_spec(cfg["model"], train_data.dim, train_data.num_classes)
-        config = trainer.TrainConfig(
-            model=spec, strategy=STRATEGIES[tr["strategy"]](tr),
-            noise_multiplier=tr["sigma2"], lr=tr["lr"], batch_size=tr["batch_size"],
-            epochs=tr["epochs"], delta=tr["delta"], seed=tr["seed"],
-            budget_target=tr["budget_target"], eval_every=tr["eval_every"])
+    train_data, test_data, digest = build_dataset(cfg["dataset"])
+    spec = build_model_spec(cfg["model"], train_data.dim, train_data.num_classes)
+    config = trainer.TrainConfig(
+        model=spec, strategy=STRATEGIES[tr["strategy"]](tr),
+        noise_multiplier=tr["sigma2"], lr=tr["lr"], batch_size=tr["batch_size"],
+        epochs=tr["epochs"], delta=tr["delta"], seed=tr["seed"],
+        budget_target=tr["budget_target"], eval_every=tr["eval_every"])
     positive_class = cfg["report"]["positive_class"]
     if not 0 <= positive_class < train_data.num_classes:
         raise ConfigError(f"[report] positive_class {positive_class} out of range")
@@ -425,16 +424,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_accountant(args) -> int:
-    if args.n < 1 or args.batch_size < 1 or args.batch_size > args.n:
-        raise ConfigError("need 1 <= batch_size <= n")
-    if args.epochs < 1:
-        raise ConfigError("epochs must be >= 1")
-    if not 0.0 < args.sigma < math.inf:
-        raise ConfigError("sigma must be positive and finite")
-    if not 0.0 < args.delta <= 1.0:
-        raise ConfigError("delta must be in (0, 1]")
-    if args.sigma1 is not None and not 0.0 < args.sigma1 < math.inf:
-        raise ConfigError("sigma1 must be positive and finite when given")
+    batch_sizes = (lambda b: 1 <= b <= args.n, "in [1, --n]")
+    for flag, value, domain in (("--n", args.n, AT_LEAST_1),
+                                ("--batch-size", args.batch_size, batch_sizes),
+                                ("--epochs", args.epochs, AT_LEAST_1),
+                                ("--sigma", args.sigma, FINITE_POSITIVE),
+                                ("--delta", args.delta, HALF_OPEN_UNIT)):
+        _check(value, domain, flag)
+    if args.sigma1 is not None:
+        _check(args.sigma1, FINITE_POSITIVE, "--sigma1")
     iterations = args.epochs * (args.n // args.batch_size)
     q = args.batch_size / args.n
     curve = trainer.step_rdp_curve(args.sigma1 or 0.0, args.sigma, q)
@@ -449,10 +447,8 @@ def cmd_accountant(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if not 0.0 < args.clip < math.inf:
-        raise ConfigError("clip must be positive and finite")
-    if not 0.0 < args.eps < math.inf:
-        raise ConfigError("eps must be positive and finite")
+    _check(args.clip, FINITE_POSITIVE, "--clip")
+    _check(args.eps, FINITE_POSITIVE, "--eps")
     norms, groups = [], []
     try:
         fh = open(args.norms_csv, newline="", encoding="utf-8")
@@ -510,7 +506,7 @@ def _read_run(path: Path) -> dict:
         report = run["test_report"]
         return {"path": path, "strategy": run["strategy"], "epsilon": run["epsilon"],
                 "iterations": run["iterations_executed"],
-                "fingerprint": run["dataset_fingerprint"],
+                "fingerprint": run["dataset_fingerprint"], "test_report": report,
                 "overall_accuracy": report["overall_accuracy"],
                 "accuracy": {g["name"]: g["accuracy"] for g in report["groups"]}}
 
@@ -533,8 +529,8 @@ def _load_run_dir(path: Path) -> dict:
                      and (p / "run.json").exists()]
     if not baseline_file.exists() or not impact_file.exists() or len(private_files) != 1:
         raise DataError(f"not a completed run directory: {path}")
-    return {"baseline": _read_run(baseline_file), "private": _read_run(private_files[0]),
-            "impact": _read_impact(impact_file)}
+    return {"dir": path, "baseline": _read_run(baseline_file),
+            "private": _read_run(private_files[0]), "impact": _read_impact(impact_file)}
 
 
 def cmd_compare(args) -> int:
@@ -543,7 +539,14 @@ def cmd_compare(args) -> int:
     if len(digests) != 1:
         raise DataError(f"dataset fingerprint mismatch across runs: {sorted(digests)}")
 
+    # every private row's deltas come from its own baseline, so the one sgd
+    # row stands for all of them only if they are the same fit
     baseline = runs[0]["baseline"]
+    for run in runs[1:]:
+        if (run["baseline"]["iterations"], run["baseline"]["test_report"]) != \
+                (baseline["iterations"], baseline["test_report"]):
+            raise DataError(f"runs '{runs[0]['dir']}' and '{run['dir']}' have different "
+                            f"{BASELINE_NAME} baselines (iterations or test report)")
     names = list(baseline["accuracy"])
 
     no_impact = {"path": None, "delta": dict.fromkeys(names, 0.0),
@@ -592,13 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Differentially private SGD experiments with per-group "
                     "privacy-impact reporting.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("prepare-data",
-                       help="build the configured dataset and write its summary "
-                            "(fingerprint and group sizes) to prepared.json")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None, help="output directory (default: report out_dir)")
-    p.set_defaults(func=cmd_prepare_data)
 
     p = sub.add_parser("train", help="train baseline and private models per config")
     p.add_argument("--config", required=True)

@@ -291,13 +291,15 @@ def load_idx(images_path, labels_path) -> Dataset:
 
     Pixels are scaled to [0, 1] by dividing by 255, in place in the one
     float64 matrix. The class labels double as the group labels (one group
-    per digit class). A file shorter or longer than its header declares is
-    a DataError.
+    per digit class). A file shorter or longer than its header declares,
+    or one of images with no pixels, is a DataError.
     """
     with _open(images_path, "rb") as fh:
         magic, count, rows, cols = struct.unpack(">4I", _read_exact(fh, 16, images_path))
         if magic != IDX_IMAGES_MAGIC:
             raise DataError(f"bad magic 0x{magic:08x} in image file '{images_path}'")
+        if rows * cols == 0:
+            raise DataError(f"image file '{images_path}' declares {rows}x{cols} images")
         pixels = np.frombuffer(_read_to_end(fh, count * rows * cols, images_path),
                                dtype=np.uint8)
     with _open(labels_path, "rb") as fh:

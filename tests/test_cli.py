@@ -135,44 +135,87 @@ class TestConfigValidation:
         assert errs == ["config error: missing key 'lr' in [training]\n"] * 4
 
 
-# (command, [(section, key, value)]) applied to MINIMAL_SYNTH; each value
-# parses but is out of range for a library constructor or for the data
+# (context, changes), each a list of (section, key, value) applied to
+# MINIMAL_SYNTH in that order before ``train``. Each changed value parses but
+# is out of range, on its own or under a rule that ties it to other keys; the
+# context only selects what makes it so (a strategy, a model kind, the other
+# half of a pair). The error names every changed key.
 OUT_OF_RANGE = [
-    ("train", [("training", "delta", "2")]),
-    ("train", [("training", "sigma2", "-1")]),
-    ("train", [("training", "sigma2", "inf")]),
-    ("train", [("training", "eval_every", "0")]),
-    ("train", [("model", "kind", "mlp"), ("model", "hidden", "0")]),
-    ("train", [("model", "l2", "inf")]),
-    ("train", [("training", "strategy", "dpsgd-f"), ("training", "sigma1", "-1")]),
-    ("train", [("training", "strategy", "naive"), ("training", "sigma1", "inf")]),
-    ("train", [("training", "strategy", "dpsgd-f"), ("training", "clip", "inf")]),
-    ("train", [("training", "clip", "nan")]),
-    ("train", [("training", "clip", "inf")]),  # unbounded sensitivity at sigma2 > 0
-    ("train", [("training", "batch_size", "200")]),  # 128 training rows
-    ("train", [("training", "budget_target", "-5")]),
-    ("train", [("training", "lr", "-5")]),
-    ("train", [("training", "lr", "0")]),
-    ("train", [("training", "lr", "inf")]),
-    ("train", [("report", "tau", "-1")]),
-    ("train", [("report", "tau", "inf")]),
-    ("train", [("model", "hidden", "7")]),  # the model is a softmax
-    ("prepare-data", [("dataset", "n_major", "0")]),
+    ([], [("training", "delta", "2")]),
+    ([], [("training", "sigma2", "-1")]),
+    ([], [("training", "sigma2", "inf")]),
+    ([], [("training", "eval_every", "0")]),
+    ([("model", "kind", "mlp")], [("model", "hidden", "0")]),
+    ([], [("model", "l2", "inf")]),
+    ([("training", "strategy", "dpsgd-f")], [("training", "sigma1", "-1")]),
+    ([("training", "strategy", "naive")], [("training", "sigma1", "inf")]),
+    ([], [("training", "strategy", "dpsgd-f"), ("training", "clip", "inf")]),
+    ([], [("training", "strategy", "dpsgd-f"), ("training", "clip", "inf"),
+          ("training", "sigma2", "0")]),  # a base bound must be finite
+    ([], [("training", "clip", "nan")]),
+    ([], [("training", "clip", "inf")]),  # unbounded sensitivity at sigma2 > 0
+    ([], [("training", "batch_size", "200")]),  # 128 training rows
+    ([], [("training", "budget_target", "-5")]),
+    ([], [("training", "lr", "-5")]),
+    ([], [("training", "lr", "0")]),
+    ([], [("training", "lr", "inf")]),
+    ([], [("report", "tau", "-1")]),
+    ([], [("report", "tau", "inf")]),
+    ([], [("model", "hidden", "7")]),  # the model is a softmax
+    ([], [("dataset", "n_major", "0")]),
+    ([], [("training", "seed", "-1")]),
+    ([], [("dataset", "seed", "-2")]),
+    ([], [("dataset", "dim", "0")]),
+    ([], [("dataset", "separation_minor", "inf")]),
+    ([], [("training", "sigma1_ratio", "-2")]),
+    ([("dataset", "subsample_size", "10")], [("dataset", "subsample_group", "-1")]),
+    ([], [("dataset", "split_fraction", "0")]),
+    ([], [("dataset", "n_minor", "0")]),
+    ([], [("dataset", "separation_major", "-inf")]),
+    ([("dataset", "subsample_group", "0")], [("dataset", "subsample_size", "0")]),
+    ([], [("training", "epochs", "0")]),
+    ([], [("report", "positive_class", "-1")]),
+    ([], [("report", "positive_class", "2")]),  # two classes
+    ([], [("training", "sigma1_ratio", "1e308"), ("training", "sigma2", "10")]),
+    # a group-aware run releases noised counts and a noised sum; both
+    # scales are > 0, or both are 0 for the non-private equivalence run
+    ([], [("training", "strategy", "dpsgd-f"), ("training", "sigma1", "0")]),
+    ([], [("training", "strategy", "dpsgd-f"), ("training", "sigma1", "3"),
+          ("training", "sigma2", "0")]),
+    ([], [("training", "strategy", "naive"), ("training", "sigma1_ratio", "0")]),
 ]
 
 
-@pytest.mark.parametrize("command,changes", OUT_OF_RANGE,
-                         ids=[" ".join(f"{k}={v}" for _, k, v in c) for _, c in OUT_OF_RANGE])
-def test_out_of_range_value_is_config_error(tmp_path, capsys, command, changes):
+@pytest.mark.parametrize("context,changes", OUT_OF_RANGE,
+                         ids=[" ".join(f"{k}={v}" for _, k, v in ctx + c)
+                              for ctx, c in OUT_OF_RANGE])
+def test_out_of_range_value_is_config_error(tmp_path, capsys, context, changes):
     text = MINIMAL_SYNTH.format(strategy="dpsgd", out_dir=tmp_path / "out")
-    for section, key, value in changes:
+    for section, key, value in context + changes:
         text = mutate(text, section, key, value)
     path = tmp_path / "exp.ini"
     path.write_text(text, encoding="utf-8")
-    assert main([command, "--config", str(path)]) == 2
+    assert main(["train", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    for section, key, _ in changes:
+        assert f"[{section}] {key}" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_every_numeric_key_has_an_out_of_range_row():
+    def numeric(parse):
+        try:
+            parse("x", "")
+        except ConfigError as exc:
+            return "expected an integer" in str(exc) or "expected a number" in str(exc)
+        return False
+
+    keys = {(section, key) for section, table in cli.CONFIG_KEYS.items()
+            for key, (parse, _, _) in table.items() if numeric(parse)}
+    covered = {(section, key) for _, changes in OUT_OF_RANGE for section, key, _ in changes}
+    assert len(keys) == 24
+    assert keys <= covered
 
 
 @pytest.mark.parametrize("section,key", [("model", "l2"), ("report", "tau")])
@@ -246,6 +289,17 @@ class TestTrainCommand:
         assert main(["train", "--config", str(path)]) == 0
         run = json.loads((out / "dpsgd-f" / "run.json").read_text())
         assert run["event_kinds"] == ["count-noise", "gradient-noise"]
+
+    def test_group_aware_run_without_noise_is_not_private(self, tmp_path, capsys):
+        # dpsgd-f with sigma2 = 0 derives sigma1 = 0: the equivalence run
+        out = tmp_path / "out"
+        path = write_config(tmp_path, out, strategy="dpsgd-f")
+        path.write_text(mutate(path.read_text(), "training", "sigma2", "0"), encoding="utf-8")
+        assert main(["train", "--config", str(path)]) == 0
+        run = json.loads((out / "dpsgd-f" / "run.json").read_text())
+        assert run["config"]["training"]["sigma1"] == 0.0
+        assert run["epsilon"] is None and run["event_kinds"] == []
+        assert run["iterations_executed"] == run["iterations_planned"] == 8
 
     def test_epochs_csv_shape(self, tmp_path):
         out = tmp_path / "out"
@@ -358,21 +412,28 @@ class TestTrainCommand:
             "past its declared data\n")
         assert not (tmp_path / "out").exists()
 
+    def test_zero_pixel_idx_is_data_error(self, tmp_path, capsys):
+        path, written = self.idx_config(tmp_path, {})
+        written["images"].write_bytes(struct.pack(">4I", 0x803, 2, 0, 0))
+        assert main(["train", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: image file '{written['images']}' declares 0x0 images\n")
+        assert not (tmp_path / "out").exists()
+
     def test_unsplit_dataset_released_before_first_fit(self, tmp_path, monkeypatch):
-        build, fit = cli.build_dataset, cli.trainer.train_nonprivate
+        split, fit = cli.dataio.split, cli.trainer.train_nonprivate
         unsplit = []
 
-        def build_spy(ds_cfg):
-            built = build(ds_cfg)
-            unsplit.append(weakref.ref(built[0]))
-            return built
+        def split_spy(data, *args):
+            unsplit.append(weakref.ref(data))
+            return split(data, *args)
 
         def fit_spy(*args):
             gc.collect()
             assert unsplit and unsplit[0]() is None, "unsplit dataset alive at the first fit"
             return fit(*args)
 
-        monkeypatch.setattr(cli, "build_dataset", build_spy)
+        monkeypatch.setattr(cli.dataio, "split", split_spy)
         monkeypatch.setattr(cli.trainer, "train_nonprivate", fit_spy)
         assert main(["train", "--config", str(write_config(tmp_path, tmp_path / "out"))]) == 0
 
@@ -580,18 +641,11 @@ class TestAnalyzeCommand:
         assert len(err) == 1 and err[0].startswith("data error:") and where in err[0]
 
 
-class TestPrepareDataCommand:
-    def test_writes_only_the_summary(self, tmp_path, capsys):
-        out = tmp_path / "prep"
-        path = write_config(tmp_path, tmp_path / "unused")
-        code = main(["prepare-data", "--config", str(path), "--out", str(out)])
-        assert code == 0
-        assert sorted(p.name for p in out.iterdir()) == ["prepared.json"]
-        summary = json.loads(capsys.readouterr().out)
-        assert summary == json.loads((out / "prepared.json").read_text())
-        assert summary["fingerprint"] == cli.build_dataset(load_config(path)["dataset"])[3]
-        assert summary["rows"] == 160
-        assert summary["group_sizes"] == {"major": 120, "minor": 40}
+def test_prepare_data_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["prepare-data", "--config", "exp.ini"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'prepare-data'" in capsys.readouterr().err
 
 
 class TestCompareCommand:
@@ -639,6 +693,21 @@ class TestCompareCommand:
         code = main(["compare", str(out1), str(out3)])
         assert code == 3
         assert "fingerprint" in capsys.readouterr().err
+
+    def test_baseline_mismatch(self, tmp_path, capsys):
+        # same data, so the fingerprints match, but another lr fits another baseline
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        main(["train", "--config", str(write_config(tmp_path, out1))])
+        other = write_config(tmp_path, out2, strategy="dpsgd-f", name="exp2.ini")
+        other.write_text(mutate(other.read_text(), "training", "lr", "0.05"), encoding="utf-8")
+        main(["train", "--config", str(other)])
+        capsys.readouterr()
+        assert main(["compare", str(out1), str(out2)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: ")
+        assert f"'{out1}'" in err[0] and f"'{out2}'" in err[0]
 
     @pytest.mark.parametrize("name", ["nonprivate/run.json", "dpsgd/run.json", "impact.json"])
     def test_invalid_json_names_the_file(self, tmp_path, capsys, name):

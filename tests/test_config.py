@@ -151,7 +151,7 @@ MUTATIONS = [
      "[dataset] kind must be synth, census, or idx, got 'None'"),
     ("minimal", "dataset", "seed", None, "missing key 'seed' in [dataset]"),
     ("minimal", "dataset", "split_fraction", "1.0",
-     "[dataset] split_fraction must be in (0, 1)"),
+     "[dataset] split_fraction must be in (0, 1), got '1.0'"),
     ("dpsgd", "dataset", "n_major", None, "missing key 'n_major' in [dataset]"),
     ("dpsgd", "dataset", "n_minor", "", "[dataset] n_minor: expected an integer, got ''"),
     ("dpsgd", "dataset", "dim", "4.5", "[dataset] dim: expected an integer, got '4.5'"),
@@ -176,26 +176,39 @@ MUTATIONS = [
      "[dataset] subsample_group and subsample_size go together"),
     ("minimal", "dataset", "images", "x", "unknown key 'images' in [dataset]"),
     ("minimal", "model", "kind", "cnn", "[model] kind must be softmax or mlp, got 'cnn'"),
-    ("dpsgd", "model", "hidden", None, "[model] mlp requires 'hidden'"),
-    ("minimal", "model", "hidden", "7", "[model] softmax takes no 'hidden'"),
+    ("dpsgd", "model", "hidden", None,
+     "[model] hidden must be given if and only if [model] kind is mlp"),
+    ("minimal", "model", "hidden", "7",
+     "[model] hidden must be given if and only if [model] kind is mlp"),
     ("minimal", "model", "l2", "", "[model] l2: expected a number, got ''"),
     ("minimal", "model", "dropout", "0.1", "unknown key 'dropout' in [model]"),
     ("minimal", "training", "strategy", "dpsgd2",
      "[training] strategy must be one of ('dpsgd', 'naive', 'dpsgd-f'), got 'dpsgd2'"),
-    ("dpsgd", "training", "clip", "0", "[training] clip must be positive"),
+    ("dpsgd", "training", "clip", "0", "[training] clip must be > 0, got '0'"),
+    ("dpsgd-f", "training", "clip", "inf",
+     "[training] clip = inf needs [training] strategy = dpsgd and [training] sigma2 = 0"),
     ("minimal", "training", "sigma2", None, "missing key 'sigma2' in [training]"),
+    ("dpsgd-f", "training", "sigma2", "0",
+     "[training] strategy = dpsgd-f needs [training] sigma1 (default [training] "
+     "sigma1_ratio * sigma2) and [training] sigma2 both > 0 or both 0, "
+     "got sigma1 3.0 and sigma2 0.0"),
+    ("census", "training", "sigma2", "1e308",
+     "[training] sigma1_ratio * [training] sigma2 must be finite, got inf"),
     ("dpsgd-f", "training", "sigma1", "three",
      "[training] sigma1: expected a number, got 'three'"),
     ("census", "training", "sigma1_ratio", "",
      "[training] sigma1_ratio: expected a number, got ''"),
     ("census", "training", "lr", "inv_sqrt",
      "[training] lr: expected a number, got 'inv_sqrt'"),
+    ("idx", "training", "lr", "0",
+     "[training] lr must be finite and > 0, or inv_sqrt_total, got '0'"),
     ("minimal", "training", "batch_size", "0",
-     "[training] epochs and batch_size must be >= 1"),
-    ("dpsgd", "training", "epochs", "-1", "[training] epochs and batch_size must be >= 1"),
+     "[training] batch_size must be >= 1, got '0'"),
+    ("dpsgd", "training", "epochs", "-1", "[training] epochs must be >= 1, got '-1'"),
     ("idx", "training", "delta", None, "missing key 'delta' in [training]"),
     ("minimal", "training", "seed", "1.5",
      "[training] seed: expected an integer, got '1.5'"),
+    ("idx", "training", "seed", "-1", "[training] seed must be >= 0, got '-1'"),
     ("dpsgd-f", "training", "budget_target", "match",
      "[training] budget_target: expected a number, got 'match'"),
     ("dpsgd", "training", "eval_every", "often",
@@ -203,7 +216,7 @@ MUTATIONS = [
     ("minimal", "training", "warmup", "5", "unknown key 'warmup' in [training]"),
     ("minimal", "report", "out_dir", None, "missing key 'out_dir' in [report]"),
     ("idx", "report", "tau", "small", "[report] tau: expected a number, got 'small'"),
-    ("minimal", "report", "tau", "-1", "[report] tau must be finite and non-negative"),
+    ("minimal", "report", "tau", "-1", "[report] tau must be finite and >= 0, got '-1'"),
     ("census", "report", "positive_class", "yes",
      "[report] positive_class: expected an integer, got 'yes'"),
     ("minimal", "report", "plot", "1", "unknown key 'plot' in [report]"),
