@@ -66,6 +66,20 @@ def _check(value, domain, where: str, raw=None):
     return value
 
 
+def _check_bounded(curve, steps: int, scales) -> None:
+    """A ConfigError unless some order of the per-step ``curve`` bounds
+    ``steps`` steps, so that epsilon is finite. ``scales`` gives each
+    release's (where, noise scale), 0 for none; the releases share one
+    sampling rate, so the smaller scale gives the larger curve, and the
+    error names it."""
+    with np.errstate(over="ignore"):
+        if curve is None or np.isfinite(steps * curve.eps_rdp).any():
+            return
+    where, value = min(((w, v) for w, v in scales if v > 0), key=lambda scale: scale[1])
+    raise ConfigError(f"{where} must be large enough for a finite epsilon over "
+                      f"{steps} iterations, got '{value!r}'")
+
+
 def _parser(convert, expected: str, domain=None):
     """A key parser: ``convert(raw)``, with a KeyError, a ValueError or a NaN
     reported as ``"<where><expected>, got '<raw>'"``, then checked against
@@ -363,6 +377,11 @@ def cmd_train(args) -> int:
         raise ConfigError(f"[report] positive_class {positive_class} out of range")
     if tr["batch_size"] > train_data.n:
         raise ConfigError(f"[training] batch_size exceeds the {train_data.n} training rows")
+    count_noise_std = getattr(config.strategy, "count_noise_std", 0.0)
+    _check_bounded(trainer.step_rdp_curve(count_noise_std, tr["sigma2"],
+                                          tr["batch_size"] / train_data.n),
+                   tr["epochs"] * (train_data.n // tr["batch_size"]),
+                   (("[training] sigma2", tr["sigma2"]), ("[training] sigma1", count_noise_std)))
     # fail on an empty group in either split before any fit
     metrics.evaluation_counts(train_data, "the training split")
     metrics.evaluation_counts(test_data)
@@ -436,6 +455,7 @@ def cmd_accountant(args) -> int:
     iterations = args.epochs * (args.n // args.batch_size)
     q = args.batch_size / args.n
     curve = trainer.step_rdp_curve(args.sigma1 or 0.0, args.sigma, q)
+    _check_bounded(curve, iterations, (("--sigma", args.sigma), ("--sigma1", args.sigma1 or 0.0)))
     epsilon, best_order = privacy.to_epsilon(curve, args.delta, iterations)
     print(json.dumps(_sanitize({
         "epsilon": epsilon, "best_order": best_order, "iterations": iterations,

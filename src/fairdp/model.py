@@ -1,8 +1,10 @@
-"""Softmax classifiers with exact per-sample gradients.
+"""Dense ReLU stacks with a softmax output, and exact per-sample gradients.
 
-Two model kinds share a flat float64 parameter vector:
+Each model is a stack of dense layers with ReLU between them; ``softmax``
+is the stack with no hidden layer. The flat float64 params hold each
+layer's weight matrix (row-major), then its bias, input layer first:
 
-  softmax:  [W (input_dim x num_classes, row-major), bias (num_classes)]
+  softmax:  [W (input_dim x num_classes), bias (num_classes)]
   mlp:      [W1 (input_dim x hidden), b1 (hidden),
              W2 (hidden x num_classes), b2 (num_classes)]
 
@@ -81,10 +83,14 @@ class ModelSpec:
         return cls(MLP, input_dim, num_classes, l2, hidden)
 
     @property
+    def layer_shapes(self) -> tuple[tuple[int, int], ...]:
+        """Each layer's weight shape, from the input to the classes."""
+        d, h, c = self.input_dim, self.hidden, self.num_classes
+        return ((d, c),) if self.kind == SOFTMAX else ((d, h), (h, c))
+
+    @property
     def param_count(self) -> int:
-        if self.kind == SOFTMAX:
-            return (self.input_dim + 1) * self.num_classes
-        return (self.input_dim + 1) * self.hidden + (self.hidden + 1) * self.num_classes
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in self.layer_shapes)
 
 
 class PerSampleGrads(NamedTuple):
@@ -100,41 +106,35 @@ def init_params(spec: ModelSpec, seed: int = 0) -> np.ndarray:
     if spec.kind == SOFTMAX:
         return np.zeros(spec.param_count)
     rng = np.random.default_rng(seed)
-    d, h, c = spec.input_dim, spec.hidden, spec.num_classes
-    a1 = np.sqrt(6.0 / (d + h))
-    a2 = np.sqrt(6.0 / (h + c))
-    w1 = rng.uniform(-a1, a1, size=(d, h))
-    w2 = rng.uniform(-a2, a2, size=(h, c))
-    return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(c)])
+    parts = []
+    for fan_in, fan_out in spec.layer_shapes:
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        parts += [rng.uniform(-limit, limit, size=(fan_in, fan_out)).ravel(), np.zeros(fan_out)]
+    return np.concatenate(parts)
 
 
-def _unpack(spec: ModelSpec, params: np.ndarray):
+def _unpack(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's (W, b) as views of ``params``, in parameter order."""
     if params.shape != (spec.param_count,):
         raise ValueError(f"params length {params.shape} != {spec.param_count}")
-    d, c = spec.input_dim, spec.num_classes
-    if spec.kind == SOFTMAX:
-        w = params[: d * c].reshape(d, c)
-        b = params[d * c:]
-        return w, b
-    h = spec.hidden
-    off = 0
-    w1 = params[off: off + d * h].reshape(d, h); off += d * h
-    b1 = params[off: off + h]; off += h
-    w2 = params[off: off + h * c].reshape(h, c); off += h * c
-    b2 = params[off:]
-    return w1, b1, w2, b2
+    layers, off = [], 0
+    for fan_in, fan_out in spec.layer_shapes:
+        end = off + fan_in * fan_out
+        layers.append((params[off:end].reshape(fan_in, fan_out), params[end:end + fan_out]))
+        off = end + fan_out
+    return layers
 
 
-def _logits(spec: ModelSpec, weights, x: np.ndarray):
-    """Logits for a 2-D input batch from the unpacked params; also returns
-    the hidden pieces for mlp."""
-    if spec.kind == SOFTMAX:
-        w, b = weights
-        return x @ w + b, None, None
-    w1, b1, w2, b2 = weights
-    z1 = x @ w1 + b1
-    a1 = np.maximum(z1, 0.0)
-    return a1 @ w2 + b2, z1, a1
+def _logits(weights, x: np.ndarray):
+    """Logits for a 2-D input batch from the unpacked params, each layer's
+    input, and each hidden layer's pre-activation."""
+    inputs, hidden = [x], []
+    for w, b in weights[:-1]:
+        z = inputs[-1] @ w + b
+        hidden.append(z)
+        inputs.append(np.maximum(z, 0.0))
+    w, b = weights[-1]
+    return inputs[-1] @ w + b, inputs, hidden
 
 
 def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +153,7 @@ def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Class probabilities for one sample (1-D x) or a batch (2-D x)."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    logits, _, _ = _logits(spec, _unpack(spec, params), x[None, :] if single else x)
+    logits, _, _ = _logits(_unpack(spec, params), x[None, :] if single else x)
     probs, _ = _softmax(logits)
     return probs[0] if single else probs
 
@@ -161,29 +161,24 @@ def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _weight_penalty(spec: ModelSpec, weights) -> float:
     if spec.l2 == 0.0:
         return 0.0
-    if spec.kind == SOFTMAX:
-        w, _ = weights
-        return 0.5 * spec.l2 * float(np.sum(w * w))
-    w1, _, w2, _ = weights
-    return 0.5 * spec.l2 * float(np.sum(w1 * w1) + np.sum(w2 * w2))
+    return 0.5 * spec.l2 * float(sum(np.sum(w * w) for w, _ in weights))
 
 
-def _outputs(spec: ModelSpec, weights, x: np.ndarray, y: np.ndarray):
+def _outputs(spec: ModelSpec, weights, batch):
     """One forward pass: class probabilities, per-sample regularized
-    cross-entropy, and the mlp's hidden pieces (None for softmax)."""
-    logits, z1, a1 = _logits(spec, weights, x)
+    cross-entropy, each layer's input and each hidden pre-activation."""
+    y = np.asarray(batch.labels, dtype=np.int64)
+    logits, inputs, hidden = _logits(weights, np.asarray(batch.features, dtype=np.float64))
     probs, lse = _softmax(logits)
     losses = lse - logits[np.arange(y.shape[0]), y] + _weight_penalty(spec, weights)
-    return probs, losses, z1, a1
+    return probs, losses, inputs, hidden
 
 
 def predictions_and_losses(spec: ModelSpec, params: np.ndarray,
                            batch) -> tuple[np.ndarray, np.ndarray]:
     """Each sample's predicted class (the argmax of ``forward``) and its
     regularized loss, from one forward pass and no gradient."""
-    probs, losses, _, _ = _outputs(spec, _unpack(spec, params),
-                                   np.asarray(batch.features, dtype=np.float64),
-                                   np.asarray(batch.labels, dtype=np.int64))
+    probs, losses, _, _ = _outputs(spec, _unpack(spec, params), batch)
     return np.argmax(probs, axis=1), losses
 
 
@@ -197,22 +192,17 @@ def _layer_factors(spec: ModelSpec, params: np.ndarray, batch):
     ``deltas[i]`` plus ``penalty``, the L2 term shaped like the weight
     matrix (None when l2 is 0); row i of the bias gradient is ``deltas[i]``.
     """
-    x = np.asarray(batch.features, dtype=np.float64)
     y = np.asarray(batch.labels, dtype=np.int64)
     weights = _unpack(spec, params)
-    delta_out, losses, z1, a1 = _outputs(spec, weights, x, y)
-    predictions = np.argmax(delta_out, axis=1)
-    delta_out[np.arange(y.shape[0]), y] -= 1.0
-
-    def penalty(w):
-        return spec.l2 * w if spec.l2 else None
-
-    if spec.kind == SOFTMAX:
-        w, _ = weights
-        return losses, predictions, ((x, delta_out, penalty(w)),)
-    w1, _, w2, _ = weights
-    delta_hidden = (delta_out @ w2.T) * (z1 > 0.0)
-    return losses, predictions, ((x, delta_hidden, penalty(w1)), (a1, delta_out, penalty(w2)))
+    deltas, losses, inputs, hidden = _outputs(spec, weights, batch)
+    predictions = np.argmax(deltas, axis=1)
+    deltas[np.arange(y.shape[0]), y] -= 1.0
+    layers = []
+    for k, (w, _) in reversed(list(enumerate(weights))):
+        layers.append((inputs[k], deltas, spec.l2 * w if spec.l2 else None))
+        if k:
+            deltas = (deltas @ w.T) * (hidden[k - 1] > 0.0)
+    return losses, predictions, tuple(reversed(layers))
 
 
 def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:

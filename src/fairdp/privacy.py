@@ -84,7 +84,8 @@ def rdp_full_gaussian(sigma: float, order):
     orders = np.asarray(order, dtype=np.float64)
     if not np.all(orders > 1):
         raise ValueError("order must be > 1")
-    eps = orders / (2.0 * sigma * sigma)
+    with np.errstate(divide="ignore", over="ignore"):  # +inf where sigma^2 underflows
+        eps = orders / (2.0 * sigma * sigma)
     return eps if orders.ndim else float(eps)
 
 
@@ -97,7 +98,8 @@ def rdp_subsampled_gaussian(q: float, sigma: float, order):
     ``np.logaddexp.reduceat`` folds each order's terms left to right from
     j = 0: the exp/log1p calls of a scalar pairwise loop, so each value has
     that loop's bits. The sum is >= 1, so a value that rounds below 0
-    (large sigma, small q) is clamped to 0.
+    (large sigma, small q) is clamped to 0. A sigma so small that
+    j(j-1)/(2 sigma^2) overflows gives +inf, never NaN.
 
     Args:
       q: sampling rate, strictly between 0 and 1 (use rdp_full_gaussian
@@ -128,8 +130,13 @@ def rdp_subsampled_gaussian(q: float, sigma: float, order):
     j = np.arange(a.size) - np.repeat(starts, sizes)
     lg = np.array([math.lgamma(k + 1) for k in range(alphas.max() + 1)])
     log_q, log_1mq = math.log(q), math.log1p(-q)
-    terms = (lg[a] - lg[j] - lg[a - j] + j * log_q + (a - j) * log_1mq
-             + j * (j - 1) / (2.0 * sigma * sigma))
+    pairs = j * (j - 1)
+    # the j < 2 terms are exactly 0, also when sigma^2 underflows to 0
+    # and the others overflow to inf
+    with np.errstate(divide="ignore", over="ignore"):
+        noise = np.divide(pairs, 2.0 * sigma * sigma, out=np.zeros(pairs.shape),
+                          where=pairs > 0)
+    terms = lg[a] - lg[j] - lg[a - j] + j * log_q + (a - j) * log_1mq + noise
     eps = np.maximum(np.logaddexp.reduceat(terms, starts) / (alphas - 1), 0.0)
     return eps if orders.ndim else float(eps[0])
 

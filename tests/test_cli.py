@@ -183,6 +183,10 @@ OUT_OF_RANGE = [
     ([], [("training", "strategy", "dpsgd-f"), ("training", "sigma1", "3"),
           ("training", "sigma2", "0")]),
     ([], [("training", "strategy", "naive"), ("training", "sigma1_ratio", "0")]),
+    # sigma^2 underflows to 0, so no RDP order bounds the run; its epsilon
+    # would read null, the value of the run without noise
+    ([], [("training", "sigma2", "1e-200")]),
+    ([("training", "strategy", "dpsgd-f")], [("training", "sigma1", "1e-200")]),
 ]
 
 
@@ -476,6 +480,17 @@ class TestAccountantCommand:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and flag.lstrip("-") in err
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--sigma1"])
+    def test_unbounded_epsilon_rejected(self, flag, capsys):
+        # sigma^2 underflows to 0, so no RDP order bounds the run; its
+        # epsilon would read null, the value of the run without noise
+        argv = ["accountant", "--n", "3500", "--batch-size", "256", "--sigma", "1.0",
+                "--epochs", "1", "--delta", "1e-6", "--sigma1", "3.0"]
+        argv[argv.index(flag) + 1] = "1e-200"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"config error: {flag} must be large enough for "
+                                           "a finite epsilon over 13 iterations, got '1e-200'\n")
 
     def test_huge_sigma_gives_small_epsilon(self, capsys):
         # the bound used to round below 0 here and crash the run

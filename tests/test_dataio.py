@@ -1,10 +1,11 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
 from fairdp.dataio import (CATEGORICAL, NUMERIC, Dataset, ImbalanceSpec,
-                           dataset_to_bytes, fingerprint, load_census_csv,
+                           fingerprint, load_census_csv,
                            load_idx, preprocess_census, split,
                            subsample_group, synth_two_group)
 from fairdp.errors import DataError
@@ -261,13 +262,13 @@ class TestSynthTwoGroup:
 
 class TestCacheFormat:
     def test_layout_is_documented_little_endian(self):
-        data = Dataset(np.array([[1.5, -2.0]]), np.array([1]), np.array([0]),
-                       ("g",), 2)
-        blob = dataset_to_bytes(data)
-        n, d, k, c = struct.unpack_from("<4Q", blob)
-        assert (n, d, k, c) == (1, 2, 1, 2)
-        feats = np.frombuffer(blob, dtype="<f8", count=2, offset=32)
-        np.testing.assert_array_equal(feats, [1.5, -2.0])
+        data = Dataset(np.array([[1.5, -2.0], [0.25, 3.0]]), np.array([1, 0]),
+                       np.array([0, 2]), ("g", "h", "i"), 2)
+        # four u64 header fields (rows, feature dim, group count, class
+        # count), then row-major f64 features, u32 labels and u32 groups
+        blob = (struct.pack("<4Q", 2, 2, 3, 2) + struct.pack("<4d", 1.5, -2.0, 0.25, 3.0)
+                + struct.pack("<2I", 1, 0) + struct.pack("<2I", 0, 2))
+        assert fingerprint(data) == hashlib.sha256(blob).hexdigest()
 
     def test_fingerprint_tracks_content(self):
         a = synth_two_group(10, 5, 2, 1.0, 1.0, seed=1)

@@ -4,7 +4,7 @@ import pytest
 from fairdp.dataio import Batch, Dataset
 from fairdp.errors import DataError
 from fairdp.metrics import group_report
-from fairdp.model import (GradStream, ModelSpec, forward, init_params,
+from fairdp.model import (GradStream, ModelSpec, _unpack, forward, init_params,
                           load_params, per_sample_grads, predictions_and_losses,
                           save_params)
 
@@ -59,6 +59,29 @@ class TestSpec:
         assert not np.array_equal(init_params(mspec, seed=4), p)
         # biases start at zero
         assert np.all(p[12:15] == 0) and np.all(p[21:] == 0)
+
+    def test_glorot_draws_w1_then_w2_from_one_generator(self):
+        rng = np.random.default_rng(3)
+        w1 = rng.uniform(-np.sqrt(6.0 / 7), np.sqrt(6.0 / 7), size=(4, 3))
+        w2 = rng.uniform(-np.sqrt(6.0 / 5), np.sqrt(6.0 / 5), size=(3, 2))
+        want = np.concatenate([w1.ravel(), np.zeros(3), w2.ravel(), np.zeros(2)])
+        np.testing.assert_array_equal(init_params(ModelSpec.mlp(4, 3, 2), seed=3), want)
+
+    def test_layer_shapes_run_from_input_to_classes(self):
+        assert ModelSpec.softmax(4, 2).layer_shapes == ((4, 2),)
+        assert ModelSpec.mlp(4, 3, 2).layer_shapes == ((4, 3), (3, 2))
+
+    @pytest.mark.parametrize("spec, shapes", [
+        (ModelSpec.softmax(4, 2), [(4, 2), (2,)]),
+        (ModelSpec.mlp(4, 3, 2), [(4, 3), (3,), (3, 2), (2,)])], ids=["softmax", "mlp"])
+    def test_unpack_views_cover_params_once_in_documented_order(self, spec, shapes):
+        # the module docstring's layout: each weight matrix row-major, then
+        # its bias, input layer first
+        params = np.arange(spec.param_count, dtype=np.float64)
+        pieces = [piece for layer in _unpack(spec, params) for piece in layer]
+        assert [piece.shape for piece in pieces] == shapes
+        assert all(np.shares_memory(piece, params) for piece in pieces)
+        np.testing.assert_array_equal(np.concatenate([p.ravel() for p in pieces]), params)
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -216,6 +239,15 @@ class TestPerSampleGrads:
         g = per_sample_grads(spec, params, random_batch(rng, 10, 4, 2))
         np.testing.assert_allclose(g.norms, np.linalg.norm(g.grads, axis=1),
                                    rtol=1e-15)
+
+    def test_relu_kink_passes_no_gradient(self):
+        # zero features and zero init biases put every hidden pre-activation
+        # at exactly 0, where the ReLU's derivative is taken as 0
+        spec = ModelSpec.mlp(3, 4, 2)
+        batch = Batch(np.zeros((2, 3)), np.array([0, 1]), np.zeros(2, dtype=int))
+        g = per_sample_grads(spec, init_params(spec, seed=0), batch)
+        assert not g.grads[:, :16].any()  # W1 and b1
+        assert g.grads[:, 16:].any()
 
 
 class TestGradStream:

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,52 @@ class TestSubsampledGaussian:
     def test_no_overflow_at_large_order_small_sigma(self):
         val = rdp_subsampled_gaussian(0.01, 0.5, 512)
         assert np.isfinite(val) and val > 0
+
+
+# the accountant sweep's sampling rates: batch sizes 64..512 over
+# n = 10,000..69,000, and 256 / n for the four published rows
+SWEEP_RATES = sorted({(64, 128, 256, 512)[i % 4] / (10_000 + 1_000 * i) for i in range(60)}
+                     | {256 / n for n in (54649, 60000, 36178, 48336)})
+
+
+def grid_rdp_before_tiny_sigma_fix(q, sigma, orders):
+    """The grid evaluation as it was, with j(j-1)/(2 sigma^2) computed for
+    every j; NaN once sigma^2 underflows to 0."""
+    alphas = np.asarray(orders, dtype=np.int64)
+    sizes = alphas + 1
+    starts = np.cumsum(sizes) - sizes
+    a = np.repeat(alphas, sizes)
+    j = np.arange(a.size) - np.repeat(starts, sizes)
+    lg = np.array([math.lgamma(k + 1) for k in range(alphas.max() + 1)])
+    log_q, log_1mq = math.log(q), math.log1p(-q)
+    terms = (lg[a] - lg[j] - lg[a - j] + j * log_q + (a - j) * log_1mq
+             + j * (j - 1) / (2.0 * sigma * sigma))
+    return np.maximum(np.logaddexp.reduceat(terms, starts) / (alphas - 1), 0.0)
+
+
+class TestTinySigma:
+    """A sigma whose square underflows gives an unbounded curve, not NaN."""
+
+    def test_no_nan_and_no_warning_down_to_1e_300(self):
+        # every 6 decades, and densely where sigma^2 and the division
+        # underflow or overflow (about 1e-162 to 1e-154)
+        sigmas = np.concatenate([np.logspace(-300, 3, 52), np.logspace(-163, -153, 21)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for q in SWEEP_RATES:
+                for sigma in sigmas:
+                    curve = rdp_subsampled_gaussian(q, sigma, DEFAULT_ORDERS)
+                    assert not np.isnan(curve).any(), (q, sigma)
+            assert np.all(rdp_subsampled_gaussian(SWEEP_RATES[0], 1e-200, DEFAULT_ORDERS)
+                          == math.inf)
+            assert rdp_full_gaussian(1e-200, 2) == math.inf
+
+    def test_bits_unchanged_while_sigma_squared_is_positive(self):
+        for q in SWEEP_RATES:
+            for sigma in np.logspace(-3, 3, 13):
+                assert np.array_equal(
+                    rdp_subsampled_gaussian(q, sigma, DEFAULT_ORDERS),
+                    grid_rdp_before_tiny_sigma_fix(q, sigma, DEFAULT_ORDERS)), (q, sigma)
 
 
 class TestCompose:

@@ -7,6 +7,10 @@ use, every gradient segment (bias ones included) squares its own deltas,
 and the clipped fraction takes its own mask and ``bincount``. The fused
 code must equal it bit for bit; ``test_step_fusion.py`` checks that.
 
+The oracle slices the flat params by the layout that ``fairdp.model``'s
+docstring gives, with its own arithmetic, so it shares no code with the
+layer stack it checks.
+
 ``gathered_group_train_stats`` is the training-set evaluation as it was
 when each chunk was gathered into a copy with ``Dataset.take``; the
 row-view chunks must give the same bits.
@@ -18,15 +22,25 @@ import numpy as np
 
 from fairdp.clipping import (GroupAdaptive, NaiveReweight, Uniform, adaptive_bounds,
                              naive_weights)
-from fairdp.model import SOFTMAX, GradStream, _unpack
+from fairdp.model import SOFTMAX, GradStream
 from fairdp.trainer import STATS_CHUNK_ROWS
+
+
+def unpack(spec, params):
+    """(W, b) for softmax, (W1, b1, W2, b2) for mlp, sliced from the flat
+    params: each weight matrix row-major, then its bias."""
+    d, h, c = spec.input_dim, spec.hidden, spec.num_classes
+    if spec.kind == SOFTMAX:
+        return params[:d * c].reshape(d, c), params[d * c:]
+    return (params[:d * h].reshape(d, h), params[d * h:d * h + h],
+            params[d * h + h:d * h + h + h * c].reshape(h, c), params[d * h + h + h * c:])
 
 
 def logits(spec, params, x):
     if spec.kind == SOFTMAX:
-        w, b = _unpack(spec, params)
+        w, b = unpack(spec, params)
         return x @ w + b, None, None
-    w1, b1, w2, b2 = _unpack(spec, params)
+    w1, b1, w2, b2 = unpack(spec, params)
     z1 = x @ w1 + b1
     a1 = np.maximum(z1, 0.0)
     return a1 @ w2 + b2, z1, a1
@@ -46,9 +60,9 @@ def weight_penalty(spec, params):
     if spec.l2 == 0.0:
         return 0.0
     if spec.kind == SOFTMAX:
-        w, _ = _unpack(spec, params)
+        w, _ = unpack(spec, params)
         return 0.5 * spec.l2 * float(np.sum(w * w))
-    w1, _, w2, _ = _unpack(spec, params)
+    w1, _, w2, _ = unpack(spec, params)
     return 0.5 * spec.l2 * float(np.sum(w1 * w1) + np.sum(w2 * w2))
 
 
@@ -73,9 +87,9 @@ def layer_factors(spec, params, batch):
         return spec.l2 * w if spec.l2 else None
 
     if spec.kind == SOFTMAX:
-        w, _ = _unpack(spec, params)
+        w, _ = unpack(spec, params)
         return losses, predictions, ((x, delta_out, penalty(w)), (None, delta_out, None))
-    w1, _, w2, _ = _unpack(spec, params)
+    w1, _, w2, _ = unpack(spec, params)
     delta_hidden = (delta_out @ w2.T) * (z1 > 0.0)
     return losses, predictions, ((x, delta_hidden, penalty(w1)), (None, delta_hidden, None),
                                  (a1, delta_out, penalty(w2)), (None, delta_out, None))
