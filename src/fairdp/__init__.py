@@ -1,10 +1,10 @@
 """Differentially private SGD with group-aware clipping strategies.
 
-The package trains softmax classifiers under three privatization
-strategies (uniform clipping, naive group reweighting, group-adaptive
-clipping), tracks the privacy budget with an integer-order RDP accountant,
-and measures the per-group accuracy cost of privacy against a non-private
-baseline.
+The package trains softmax classifiers and one-hidden-layer ReLU MLPs
+under three privatization strategies (uniform clipping, naive group
+reweighting, group-adaptive clipping), tracks the privacy budget with an
+integer-order RDP accountant, and measures the per-group accuracy cost of
+privacy against a non-private baseline.
 """
 
 from .clipping import GroupAdaptive, NaiveReweight, NonPrivate, Uniform

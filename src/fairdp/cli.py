@@ -66,18 +66,17 @@ def _check(value, domain, where: str, raw=None):
     return value
 
 
-def _check_bounded(curve, steps: int, scales) -> None:
-    """A ConfigError unless some order of the per-step ``curve`` bounds
-    ``steps`` steps, so that epsilon is finite. ``scales`` gives each
-    release's (where, noise scale), 0 for none; the releases share one
-    sampling rate, so the smaller scale gives the larger curve, and the
-    error names it."""
+def _check_bounded(plan: trainer.PrivacyPlan, names: dict) -> None:
+    """A ConfigError unless some order of the plan's per-step curve bounds its
+    planned iterations, so that epsilon is finite. At one sampling rate the
+    smallest scale gives the largest curve, and the error names its release
+    (the gradient noise on a tie) by ``names``, the key or flag of each kind."""
     with np.errstate(over="ignore"):
-        if curve is None or np.isfinite(steps * curve.eps_rdp).any():
+        if plan.curve is None or np.isfinite(plan.planned * plan.curve.eps_rdp).any():
             return
-    where, value = min(((w, v) for w, v in scales if v > 0), key=lambda scale: scale[1])
-    raise ConfigError(f"{where} must be large enough for a finite epsilon over "
-                      f"{steps} iterations, got '{value!r}'")
+    kind, event = min(reversed(plan.releases), key=lambda release: release[1].noise_multiplier)
+    raise ConfigError(f"{names[kind]} must be large enough for a finite epsilon over "
+                      f"{plan.planned} iterations, got '{event.noise_multiplier!r}'")
 
 
 def _parser(convert, expected: str, domain=None):
@@ -242,6 +241,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"[training] strategy = {strategy} needs [training] sigma1 (default "
                           "[training] sigma1_ratio * sigma2) and [training] sigma2 both > 0 "
                           f"or both 0, got sigma1 {sigma1} and sigma2 {sigma2}")
+    if training["budget_target"] is not None and sigma2 == 0:
+        raise ConfigError("[training] budget_target needs [training] sigma2 > 0")
     return {"dataset": dataset, "model": model, "training": training, "report": report}
 
 
@@ -377,11 +378,8 @@ def cmd_train(args) -> int:
         raise ConfigError(f"[report] positive_class {positive_class} out of range")
     if tr["batch_size"] > train_data.n:
         raise ConfigError(f"[training] batch_size exceeds the {train_data.n} training rows")
-    count_noise_std = getattr(config.strategy, "count_noise_std", 0.0)
-    _check_bounded(trainer.step_rdp_curve(count_noise_std, tr["sigma2"],
-                                          tr["batch_size"] / train_data.n),
-                   tr["epochs"] * (train_data.n // tr["batch_size"]),
-                   (("[training] sigma2", tr["sigma2"]), ("[training] sigma1", count_noise_std)))
+    _check_bounded(config.plan(train_data.n), {"gradient-noise": "[training] sigma2",
+                                               "count-noise": "[training] sigma1"})
     # fail on an empty group in either split before any fit
     metrics.evaluation_counts(train_data, "the training split")
     metrics.evaluation_counts(test_data)
@@ -452,14 +450,13 @@ def cmd_accountant(args) -> int:
         _check(value, domain, flag)
     if args.sigma1 is not None:
         _check(args.sigma1, FINITE_POSITIVE, "--sigma1")
-    iterations = args.epochs * (args.n // args.batch_size)
-    q = args.batch_size / args.n
-    curve = trainer.step_rdp_curve(args.sigma1 or 0.0, args.sigma, q)
-    _check_bounded(curve, iterations, (("--sigma", args.sigma), ("--sigma1", args.sigma1 or 0.0)))
-    epsilon, best_order = privacy.to_epsilon(curve, args.delta, iterations)
+    plan = trainer.privacy_plan(args.n, args.batch_size, args.epochs, args.sigma1 or 0.0,
+                                args.sigma)
+    _check_bounded(plan, {"gradient-noise": "--sigma", "count-noise": "--sigma1"})
+    epsilon, best_order = privacy.to_epsilon(plan.curve, args.delta, plan.planned)
     print(json.dumps(_sanitize({
-        "epsilon": epsilon, "best_order": best_order, "iterations": iterations,
-        "sampling_rate": q, "delta": args.delta, "noise_multiplier": args.sigma,
+        "epsilon": epsilon, "best_order": best_order, "iterations": plan.planned,
+        "sampling_rate": plan.sampling_rate, "delta": args.delta, "noise_multiplier": args.sigma,
         "count_noise_std": args.sigma1,
         "accounting_assumption": ACCOUNTING_ASSUMPTION,
     }), sort_keys=True))

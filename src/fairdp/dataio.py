@@ -32,7 +32,7 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 _MISSING_TOKENS = ("", "?")
-_CACHE_HEADER = struct.Struct("<4Q")
+_FINGERPRINT_HEADER = struct.Struct("<4Q")
 
 
 class Batch(NamedTuple):
@@ -400,8 +400,8 @@ def fingerprint(data: Dataset) -> str:
     """SHA-256 of the documented little-endian layout; used to match runs
     for comparison. The pieces are hashed in turn, so the feature matrix is
     read in place, not copied."""
-    digest = hashlib.sha256(_CACHE_HEADER.pack(data.n, data.dim, data.num_groups,
-                                               data.num_classes))
+    digest = hashlib.sha256(_FINGERPRINT_HEADER.pack(data.n, data.dim, data.num_groups,
+                                                     data.num_classes))
     for piece in (np.ascontiguousarray(data.features, dtype="<f8"),
                   data.labels.astype("<u4"), data.groups.astype("<u4")):
         digest.update(piece)

@@ -10,14 +10,13 @@ floor(n / batch_size) iterations), privatizes the per-sample gradients
 with the configured strategy, perturbs the clipped sum with Gaussian noise
 scaled to the strategy's effective sensitivity.
 
-Every iteration makes the same releases (``step_events``), so one step's
-RDP curve scaled by k gives the epsilon after k iterations. The budget
-check, each epoch row and the final epsilon all read it; the ledger is the
-coalesced record, one event per kind. A zero noise scale contributes no
-event and draws nothing from its stream; such runs are only meaningful
-for equivalence testing. With a budget target set, the epsilon after the
-next iteration is checked before it runs. So the reported epsilon is the
-last epoch row's, and a stopped run's never exceeds the target.
+Every iteration makes the same releases, so ``privacy_plan`` fixes a
+run's accounting before its first step: one step's RDP curve, scaled by k,
+gives the epsilon after k iterations, for the budget stop, each epoch row
+and the final epsilon; the ledger is the coalesced record, one event per
+kind. A zero noise scale makes no release and draws nothing from its
+stream; such runs are only meaningful for equivalence testing. A stopped
+run's epsilon never exceeds its budget target.
 """
 
 from __future__ import annotations
@@ -70,9 +69,18 @@ class TrainConfig:
             raise ValueError("delta must be in (0, 1]")
         if self.budget_target is not None and not self.budget_target > 0:
             raise ValueError("budget_target must be positive")
+        if (self.budget_target is not None and self.noise_multiplier == 0
+                and not isinstance(self.strategy, NonPrivate)):
+            raise ValueError("a budget_target needs noise_multiplier > 0")
         if self.lr != INV_SQRT_TOTAL and (isinstance(self.lr, str)
                                           or not 0.0 < self.lr < math.inf):
             raise ValueError(f"lr must be a finite positive number or '{INV_SQRT_TOTAL}'")
+
+    def plan(self, n: int) -> PrivacyPlan:
+        """The plan on ``n`` training rows; the non-private strategy releases nothing."""
+        scales = ((0.0, 0.0) if isinstance(self.strategy, NonPrivate) else
+                  (getattr(self.strategy, "count_noise_std", 0.0), self.noise_multiplier))
+        return privacy_plan(n, self.batch_size, self.epochs, *scales)
 
 
 @dataclass
@@ -124,18 +132,39 @@ def private_mean_gradient(grads: GradStream, factors: np.ndarray | None,
     return total / grads.rows
 
 
-def step_events(count_noise_std: float, noise_multiplier: float,
-                sampling_rate: float) -> list[tuple[str, MechanismEvent]]:
-    """The (kind, event) pairs of one iteration's releases, in order.
+@dataclass(frozen=True)
+class PrivacyPlan:
+    """A run's accounting, fixed before its first step: every iteration
+    samples at ``sampling_rate`` and makes the same ``releases``, whose
+    composed RDP curve is ``curve`` (None without a release)."""
 
-    The count-noise event comes first (group-aware strategies, unit
-    sensitivity), then the gradient-noise event. A zero noise scale
-    records no event, so the non-private strategy, passed as (0, 0),
-    records none.
-    """
+    sampling_rate: float
+    iterations_per_epoch: int
+    planned: int
+    releases: tuple[tuple[str, MechanismEvent], ...]  # (kind, event), count noise first
+    curve: privacy.RdpCurve | None
+
+    def allowed(self, delta: float, budget_target: float | None) -> int:
+        """The planned iterations, or those before the first over ``budget_target``."""
+        if budget_target is not None and self.curve is not None:
+            for k in range(self.planned):
+                if privacy.to_epsilon(self.curve, delta, k + 1)[0] > budget_target:
+                    return k
+        return self.planned
+
+
+def privacy_plan(n: int, batch_size: int, epochs: int, count_noise_std: float,
+                 noise_multiplier: float) -> PrivacyPlan:
+    """The plan of ``epochs`` epochs of ``batch_size``-row batches from ``n`` rows
+    (a ValueError if ``batch_size > n``). Each step releases the noised counts
+    (unit sensitivity), then the noised gradient sum; a zero scale releases nothing."""
+    if batch_size > n:
+        raise ValueError(f"batch_size {batch_size} exceeds training size {n}")
+    q = batch_size / n
     scales = (("count-noise", count_noise_std), ("gradient-noise", noise_multiplier))
-    return [(kind, MechanismEvent(scale, sampling_rate, 1))
-            for kind, scale in scales if scale > 0.0]
+    releases = tuple((kind, MechanismEvent(scale, q, 1)) for kind, scale in scales if scale > 0)
+    curve = privacy.compose([event for _, event in releases]) if releases else None
+    return PrivacyPlan(q, n // batch_size, epochs * (n // batch_size), releases, curve)
 
 
 def dp_step(spec: ModelSpec, params: np.ndarray, batch,
@@ -160,13 +189,6 @@ def dp_step(spec: ModelSpec, params: np.ndarray, batch,
     update = private_mean_gradient(grads, release.factors, release.sensitivity,
                                    noise_multiplier, noise_rng)
     return params - lr * update, release
-
-
-def step_rdp_curve(count_noise_std: float, noise_multiplier: float, sampling_rate: float,
-                   orders=privacy.DEFAULT_ORDERS) -> privacy.RdpCurve | None:
-    """RDP curve of a single iteration's events; None if there are none."""
-    events = [event for _, event in step_events(count_noise_std, noise_multiplier, sampling_rate)]
-    return privacy.compose(events, orders) if events else None
 
 
 def group_train_stats(spec: ModelSpec, params: np.ndarray, data):
@@ -210,17 +232,14 @@ def train(config: TrainConfig, train_data, test_data) -> TrainResult:
     bookkeeping (iteration counts, event kinds, final epsilon at the
     config's delta).
 
-    A run stopped by the budget logs one more row, labelled with the last
-    epoch that ran an iteration (0 if none did), unless that epoch is
-    already logged.
+    Runs exactly the iterations that the plan allows; the last epoch that
+    runs one (0 if none does) ends the run and is always logged.
     """
     n = train_data.n
-    if config.batch_size > n:
-        raise ValueError(f"batch_size {config.batch_size} exceeds training size {n}")
-    iters_per_epoch = n // config.batch_size
-    planned = config.epochs * iters_per_epoch
-    lr = resolve_learning_rate(config.lr, planned)
-    sampling_rate = config.batch_size / n
+    plan = config.plan(n)
+    lr = resolve_learning_rate(config.lr, plan.planned)
+    allowed = plan.allowed(config.delta, config.budget_target)
+    last_epoch = -(-allowed // plan.iterations_per_epoch)
 
     batch_ss, count_ss, noise_ss = np.random.SeedSequence(config.seed).spawn(3)
     batch_rng = np.random.default_rng(batch_ss)
@@ -229,23 +248,13 @@ def train(config: TrainConfig, train_data, test_data) -> TrainResult:
 
     spec = config.model
     params = init_params(spec, config.seed)
-    # the count-noise std and gradient noise multiplier of each step's releases
-    scales = ((0.0, 0.0) if isinstance(config.strategy, NonPrivate) else
-              (getattr(config.strategy, "count_noise_std", 0.0), config.noise_multiplier))
-    events = step_events(*scales, sampling_rate)
-    step_curve = step_rdp_curve(*scales, sampling_rate)
 
     logs: list[EpochLog] = []
     executed = 0
     last_release: StepRelease | None = None
-    stopped = False
-    for epoch in range(1, config.epochs + 1):
-        for _ in range(iters_per_epoch):
-            if config.budget_target is not None and step_curve is not None:
-                eps_next, _ = privacy.to_epsilon(step_curve, config.delta, executed + 1)
-                if eps_next > config.budget_target:
-                    stopped = True
-                    break
+    # a run with no iteration logs one row, for epoch 0
+    for epoch in range(min(1, last_epoch), last_epoch + 1):
+        for _ in range(min(plan.iterations_per_epoch, allowed - executed)):
             idx = sample_batch(n, config.batch_size, batch_rng)
             try:
                 params, last_release = dp_step(
@@ -255,31 +264,25 @@ def train(config: TrainConfig, train_data, test_data) -> TrainResult:
             except NumericError as exc:
                 raise NumericError(f"iteration {executed + 1}: {exc}") from exc
             executed += 1
-        due = epoch % config.eval_every == 0 or epoch == config.epochs
-        if stopped:
-            epoch = -(-executed // iters_per_epoch)  # the last epoch that ran an iteration
-            due = not logs or logs[-1].epoch != epoch
-        if due:
+        if epoch % config.eval_every == 0 or epoch == last_epoch:
             loss, norm, acc = group_train_stats(spec, params, train_data)
             epsilon = None
-            if step_curve is not None and executed > 0:
-                epsilon = privacy.to_epsilon(step_curve, config.delta, executed)[0]
+            if plan.curve is not None and executed > 0:
+                epsilon = privacy.to_epsilon(plan.curve, config.delta, executed)[0]
             logs.append(EpochLog(epoch, loss, norm, acc, epsilon, last_release))
-        if stopped:
-            break
 
     final_epsilon = final_order = None
-    if step_curve is not None and executed > 0:
-        final_epsilon, final_order = privacy.to_epsilon(step_curve, config.delta, executed)
-    ledger = tuple(replace(event, steps=executed) for _, event in events) if executed else ()
+    if plan.curve is not None and executed > 0:
+        final_epsilon, final_order = privacy.to_epsilon(plan.curve, config.delta, executed)
+    ledger = tuple(replace(event, steps=executed) for _, event in plan.releases if executed)
     return TrainResult(
         params=params,
         ledger=ledger,
         epoch_logs=logs,
         test_report=metrics.group_report(spec, params, test_data),
         iterations_executed=executed,
-        iterations_planned=planned,
-        event_kinds=tuple(kind for kind, _ in events),
+        iterations_planned=plan.planned,
+        event_kinds=tuple(kind for kind, _ in plan.releases),
         final_epsilon=final_epsilon,
         final_best_order=final_order,
         learning_rate=lr,

@@ -156,6 +156,8 @@ OUT_OF_RANGE = [
     ([], [("training", "clip", "inf")]),  # unbounded sensitivity at sigma2 > 0
     ([], [("training", "batch_size", "200")]),  # 128 training rows
     ([], [("training", "budget_target", "-5")]),
+    # a run without gradient noise has no epsilon to stop at
+    ([], [("training", "sigma2", "0"), ("training", "budget_target", "5.0")]),
     ([], [("training", "lr", "-5")]),
     ([], [("training", "lr", "0")]),
     ([], [("training", "lr", "inf")]),

@@ -13,9 +13,8 @@ from fairdp.model import (GradStream, ModelSpec, init_params, per_sample_grads,
                           predictions_and_losses)
 from fairdp.privacy import MechanismEvent, compose, to_epsilon
 from fairdp.trainer import (TrainConfig, dp_step, group_train_stats,
-                            private_mean_gradient, resolve_learning_rate,
-                            sample_batch, step_events, step_rdp_curve, train,
-                            train_nonprivate)
+                            private_mean_gradient, privacy_plan, resolve_learning_rate,
+                            sample_batch, train, train_nonprivate)
 
 
 def toy_data(seed=0, n_major=120, n_minor=40, dim=4):
@@ -115,15 +114,19 @@ class TestDpStep:
         np.testing.assert_array_equal(a, b)
 
     def test_ledger_events(self):
-        # a step's events, from its (count-noise std, gradient noise
-        # multiplier): Uniform has no count noise, NonPrivate neither scale
-        ledger = step_events(0.0, 0.8, 0.1)
+        # a step's releases, from its (count-noise std, gradient noise
+        # multiplier) at q = 1/10: Uniform has no count noise, NonPrivate
+        # neither scale
+        def releases(count_noise_std, noise_multiplier):
+            return privacy_plan(10, 1, 1, count_noise_std, noise_multiplier).releases
+
+        ledger = releases(0.0, 0.8)
         assert [e.noise_multiplier for _, e in ledger] == [0.8]
-        ledger = step_events(GroupAdaptive(1.0, 8.0).count_noise_std, 0.8, 0.1)
+        ledger = releases(GroupAdaptive(1.0, 8.0).count_noise_std, 0.8)
         assert [e.noise_multiplier for _, e in ledger] == [8.0, 0.8]
-        ledger = step_events(GroupAdaptive(1.0, 0.0).count_noise_std, 0.8, 0.1)
+        ledger = releases(GroupAdaptive(1.0, 0.0).count_noise_std, 0.8)
         assert [e.noise_multiplier for _, e in ledger] == [0.8]
-        ledger = step_events(0.0, 0.0, 0.1)
+        ledger = releases(0.0, 0.0)
         assert len(ledger) == 0
 
     def test_nonfinite_gradient_aborts(self):
@@ -401,18 +404,20 @@ class TestStreamedMemory:
 
 
 class TestStepRdpCurve:
+    """A privacy plan's per-step curve, at q = 1/20."""
+
     def test_matches_manual_composition(self):
-        curve = step_rdp_curve(8.0, 0.8, 0.05)
+        curve = privacy_plan(20, 1, 1, 8.0, 0.8).curve
         manual = compose([MechanismEvent(8.0, 0.05, 1), MechanismEvent(0.8, 0.05, 1)])
         np.testing.assert_allclose(curve.eps_rdp, manual.eps_rdp, rtol=1e-15)
 
     def test_none_when_no_events(self):
-        assert step_rdp_curve(0.0, 0.0, 0.05) is None
+        assert privacy_plan(20, 1, 1, 0.0, 0.0).curve is None
 
 
 class TestStepEventsSinglePath:
-    """``train``'s coalesced ledger, event kinds and epsilon, and
-    ``step_rdp_curve``, all derive from ``step_events``."""
+    """``train``'s coalesced ledger, event kinds and epsilon, and the plan's
+    curve, all derive from the plan's releases."""
 
     @pytest.mark.parametrize("sigma2", [0.0, 0.8])
     @pytest.mark.parametrize("sigma1", [0.0, 4.0])
@@ -425,18 +430,18 @@ class TestStepEventsSinglePath:
         data = toy_data()
         tr, te = split(data, 0.8, seed=1)
         cfg = base_config(strategy=strategy, noise_multiplier=sigma2, epochs=1)
-        rate = cfg.batch_size / tr.n
         # the non-private strategy makes no release, whatever its noise scales
         scales = ((0.0, 0.0) if isinstance(strategy, NonPrivate)
                   else (getattr(strategy, "count_noise_std", 0.0), sigma2))
-        expected = step_events(*scales, rate)
+        plan = privacy_plan(tr.n, cfg.batch_size, cfg.epochs, *scales)
+        expected = plan.releases
 
         res = train(cfg, tr, te)
         steps = res.iterations_executed
         assert res.ledger == tuple(replace(event, steps=steps) for _, event in expected)
         assert res.event_kinds == tuple(kind for kind, _ in expected)
 
-        curve = step_rdp_curve(*scales, rate)
+        curve = plan.curve
         if expected:
             np.testing.assert_array_equal(
                 curve.eps_rdp, compose([event for _, event in expected]).eps_rdp)
@@ -446,3 +451,48 @@ class TestStepEventsSinglePath:
         else:
             assert curve is None
             assert res.final_epsilon is None
+
+
+class TestPrivacyPlan:
+    """The budget stop of the shipped dpsgd-f plan: 3,500 training rows,
+    batches of 256, 100 epochs, sigma2 = 1, sigma1 = 3, delta = 1e-6."""
+
+    DELTA = 1e-6
+
+    def setup_method(self):
+        self.plan = privacy_plan(3500, 256, 100, 3.0, 1.0)
+
+    def epsilon(self, steps):
+        return to_epsilon(self.plan.curve, self.DELTA, steps)[0]
+
+    def test_allowed_is_the_last_iteration_within_the_target(self):
+        plan = self.plan
+        assert (plan.iterations_per_epoch, plan.planned) == (13, 1300)
+        targets = np.linspace(self.epsilon(1), self.epsilon(plan.planned), 50)
+        allowed = [plan.allowed(self.DELTA, float(target)) for target in targets]
+        for target, k in zip(targets, allowed):
+            if k == plan.planned:
+                assert self.epsilon(k) <= target
+            else:
+                assert self.epsilon(k) <= target < self.epsilon(k + 1)
+        assert allowed == sorted(allowed)
+        assert allowed[-1] == plan.planned
+
+    def test_shipped_target(self):
+        assert self.plan.allowed(self.DELTA, 25.712) == 1216
+
+    def test_no_target_or_no_release_allows_every_iteration(self):
+        assert self.plan.allowed(self.DELTA, None) == 1300
+        assert privacy_plan(3500, 256, 100, 0.0, 0.0).allowed(self.DELTA, 1e-9) == 1300
+
+    def test_oversized_batch_rejected(self):
+        with pytest.raises(ValueError, match="exceeds training size 3500"):
+            privacy_plan(3500, 3501, 1, 0.0, 1.0)
+
+
+class TestTrainConfig:
+    def test_budget_target_needs_noise(self):
+        with pytest.raises(ValueError, match="budget_target"):
+            base_config(noise_multiplier=0.0, budget_target=5.0)
+        # the baseline that train_nonprivate derives keeps the target
+        base_config(strategy=NonPrivate(), noise_multiplier=0.0, budget_target=5.0)
